@@ -1,0 +1,13 @@
+"""Put the benchmark's modules and the program's sources on the path.
+
+Run with ``python3 -m pytest benchmarks/tests`` from the repository root.
+"""
+
+import os
+import sys
+
+BENCH = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+ROOT = os.path.dirname(BENCH)
+for path in (BENCH, os.path.join(ROOT, "src")):
+    if path not in sys.path:
+        sys.path.insert(0, path)
