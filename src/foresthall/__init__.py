@@ -17,6 +17,7 @@ from .cuts import (
     cut_census,
     enumerate_cuts,
     enumerate_flags,
+    flag_counts,
 )
 from .enumeration import (
     DEFAULT_SIZE_LIMIT,
@@ -84,6 +85,7 @@ __all__ = [
     "cut_census",
     "enumerate_cuts",
     "enumerate_flags",
+    "flag_counts",
     "DEFAULT_SIZE_LIMIT",
     "SizeLimitError",
     "count_forests_of_class",

@@ -16,7 +16,7 @@ import json
 import sys
 
 from . import verify as verify_mod
-from .cuts import FULL_CUT, enumerate_cuts, enumerate_flags
+from .cuts import FULL_CUT, enumerate_cuts, flag_counts
 from .enumeration import (
     DEFAULT_SIZE_LIMIT,
     SizeLimitError,
@@ -256,13 +256,13 @@ def _cmd_cuts_flags(session, args) -> int:
     _guard(session, forest.size)
     if forest.size == 0:
         raise CliError("flags are defined for nonempty forests")
-    ks = [args.k] if args.k is not None else range(1, forest.size + 1)
-    counts: dict = {}
-    for k in ks:
-        if k < 1:
-            raise CliError("--k must be at least 1")
-        for flag in enumerate_flags(forest, k, nc):
-            counts[flag] = counts.get(flag, 0) + 1
+    if args.k is not None and args.k < 1:
+        raise CliError("--k must be at least 1")
+    counts = {
+        flag: n
+        for flag, n in flag_counts(forest, nc).items()
+        if args.k is None or len(flag) == args.k
+    }
     rows = sorted(counts, key=lambda f: (len(f), format_word(f)))
     payload = {
         "forest": format_forest(forest, colors),
@@ -352,6 +352,7 @@ def _cmd_qsym_shuffle(session, args) -> int:
     nc = len(_need_colors(session))
     left = parse_composition(args.left, nc)
     right = parse_composition(args.right, nc)
+    _guard(session, sum(composition_degree(left + right, nc)))
     elem = quasi_shuffle(LinComb.basis(left), LinComb.basis(right))
     return _emit_element(
         session,
@@ -364,6 +365,7 @@ def _cmd_qsym_shuffle(session, args) -> int:
 def _cmd_qsym_deconcat(session, args) -> int:
     nc = len(_need_colors(session))
     comp = parse_composition(args.expr, nc)
+    _guard(session, sum(composition_degree(comp, nc)))
     elem = deconcat(LinComb.basis(comp))
     return _emit_element(
         session,
@@ -555,6 +557,10 @@ def main(argv=None) -> int:
         return args.func(session, args)
     except (CliError, ParseError, SizeLimitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        # Parsing, formatting and the algebra recurse once per tree level.
+        print("error: input is nested too deeply to process", file=sys.stderr)
         return 1
 
 

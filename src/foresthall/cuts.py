@@ -10,6 +10,10 @@ of a forest choose one cut per component, independently.
 Edges are named by the preorder index of their child vertex inside their
 component, so enumeration is deterministic and repeat (pruned, root) pairs
 coming from genuinely different edge sets stay distinguishable.
+
+Cut lists are rebuilt on every call to ``enumerate_cuts``; what is memoized
+is what is read off them: the per-tree cuts, the (pruned, root) census
+behind the Hall product, and the flag counts behind rho_t.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ __all__ = [
     "enumerate_cuts",
     "cut_census",
     "count_cut_pairs",
+    "flag_counts",
     "enumerate_flags",
 ]
 
@@ -73,12 +78,12 @@ def _component_cuts(tree: Tree) -> tuple:
     return tuple(cuts)
 
 
-@lru_cache(maxsize=None)
 def enumerate_cuts(forest: Forest) -> tuple:
     """Every admissible cut of ``forest`` as (cut, CutResult) pairs.
 
     The cut itself is a tuple with one entry per component: either a
     frozenset of edge indices or FULL_CUT.  The order is deterministic.
+    Nothing is cached: callers that need an aggregate memoize that instead.
     """
     per_component = [_component_cuts(t) for t in forest.trees]
     out = []
@@ -111,33 +116,41 @@ def count_cut_pairs(m: Forest, a: Forest, b: Forest) -> int:
     return cut_census(m).get((a, b), 0)
 
 
+@lru_cache(maxsize=None)
+def flag_counts(forest: Forest, ncolors: int) -> dict:
+    """Class sequences of all iterated cuts of ``forest``, with multiplicity.
+
+    A flag is a sequence of admissible cuts: the first cut splits ``forest``,
+    the next cut splits the pruned remainder, and so on, every root part
+    nonempty, until the remainder is empty.  The key records the root-part
+    classes innermost first; the value counts the distinct cut sequences
+    with that key.  So the empty forest gives ``{(): 1}``, and each cut
+    (P, R) with R nonempty appends the class of R to every key of P: the
+    iterated coproduct.  The returned dict is shared; do not mutate it.
+    """
+    if forest.size == 0:
+        return {(): 1}
+    counts: dict = {}
+    for _, result in enumerate_cuts(forest):
+        root = result.root_part
+        if root.size == 0:
+            continue
+        step = (k0_class(root, ncolors),)
+        for head, n in flag_counts(result.pruned, ncolors).items():
+            flag = head + step
+            counts[flag] = counts.get(flag, 0) + n
+    return counts
+
+
 def enumerate_flags(forest: Forest, k: int, ncolors: int) -> list[tuple]:
     """Multiset of class sequences of k-step iterated cuts of ``forest``.
 
-    A k-flag is a sequence of k admissible cuts: the first cut splits
-    ``forest``, the next cut splits the pruned remainder, and so on, every
-    root part nonempty, until the remainder is empty after exactly k steps.
-    The entry records the root-part classes innermost first.  Distinct cut
-    sequences contribute separate (possibly equal) entries.
+    The k-step entries of ``flag_counts``, each repeated by its count:
+    distinct cut sequences contribute separate (possibly equal) entries.
     """
     if k < 1:
         raise ValueError("flag length k must be at least 1")
     if forest.size == 0:
         raise ValueError("flags are defined for nonempty forests")
-    return list(_flags(forest, k, ncolors))
-
-
-def _flags(forest: Forest, k: int, ncolors: int):
-    if k == 0:
-        if forest.size == 0:
-            yield ()
-        return
-    if forest.size == 0:
-        return
-    for _, result in enumerate_cuts(forest):
-        root = result.root_part
-        if root.size == 0:
-            continue
-        step = k0_class(root, ncolors)
-        for head in _flags(result.pruned, k - 1, ncolors):
-            yield head + (step,)
+    counts = flag_counts(forest, ncolors)
+    return [f for f, n in counts.items() if len(f) == k for _ in range(n)]

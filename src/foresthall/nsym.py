@@ -85,9 +85,15 @@ def nsym_comul(f: LinComb) -> LinComb:
 
 @lru_cache(maxsize=None)
 def _rho_word(word: Word) -> LinComb:
+    # rho has checked the word's size against its bound; a letter's own
+    # size is a bound it always meets, and keeps the memo keyed by word.
     if not word:
         return LinComb.basis(EMPTY_FOREST)
-    return hall_mul(_rho_word(word[:-1]), kappa(word[-1]))
+    letter = word[-1]
+    image = kappa(letter, limit=sum(letter))
+    if len(word) == 1:
+        return image
+    return hall_mul(_rho_word(word[:-1]), image)
 
 
 def rho(f: LinComb, limit: int | None = None) -> LinComb:

@@ -6,9 +6,12 @@ quasi-shuffle (interleave or merge adjacent parts), the coproduct is
 deconcatenation, and the Kronecker pairing against words of classes makes
 this the graded dual of the concatenation side.
 
-rho_t expands a forest over compositions by enumerating flags: iterated
-admissible cuts with every step nonempty.  It is the transpose of rho under
-the pairing, and a Hopf algebra map from the disjoint-union/cut side.
+rho_t expands a forest over compositions by counting flags: iterated
+admissible cuts with every step nonempty.  A flag is a first cut (P, R) with
+R nonempty followed by a flag of P, so rho_t(F) is the sum over those cuts
+of rho_t(P) with class(R) appended; cuts.flag_counts computes this iterated
+coproduct once per forest.  rho_t is the transpose of rho under the pairing,
+and a Hopf algebra map from the disjoint-union/cut side.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .cuts import enumerate_flags
+from .cuts import flag_counts
 from .enumeration import DEFAULT_SIZE_LIMIT, SizeLimitError
 from .forest import Forest, ParseError, add_classes, format_class, parse_class
 from .linear import LinComb, bilinear
@@ -99,13 +102,7 @@ def rho_t(forest: Forest, ncolors: int, limit: int | None = None) -> LinComb:
             f"rho_t of a {forest.size}-vertex forest exceeds the limit of "
             f"{bound}"
         )
-    if forest.size == 0:
-        return LinComb.basis(())
-    terms = []
-    for k in range(1, forest.size + 1):
-        for flag in enumerate_flags(forest, k, ncolors):
-            terms.append((flag, 1))
-    return LinComb(terms)
+    return LinComb(flag_counts(forest, ncolors))
 
 
 def format_composition(comp: Composition) -> str:

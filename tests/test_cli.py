@@ -1,6 +1,7 @@
 """CLI surface: output text, JSON schema, exit codes, determinism."""
 
 import json
+import pathlib
 import subprocess
 import sys
 from fractions import Fraction
@@ -186,6 +187,58 @@ def test_qsym_rhot_json(capsys):
     }
     for key in payload["terms"]:
         assert format_composition(parse_composition(key, 2)) == key
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("flags_all", ["cuts", "flags", "a[b,a]+b", "--colors", "a,b"]),
+        (
+            "flags_k2",
+            ["cuts", "flags", "a[b,a]+b", "--colors", "a,b", "--k", "2"],
+        ),
+        (
+            "rhot",
+            ["qsym", "rhot", "--forest", "a[b[a],b]+a", "--colors", "a,b"],
+        ),
+    ],
+)
+@pytest.mark.parametrize("json_out", [False, True])
+def test_flag_output_matches_golden(capsys, name, argv, json_out):
+    suffix = "_json" if json_out else ""
+    code, out, err = _run(capsys, *argv, *(["--json"] if json_out else []))
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / f"{name}{suffix}.out").read_text()
+
+
+@pytest.mark.parametrize(
+    "argv, total",
+    [
+        (["qsym", "deconcat", "Z[(3),(4)]"], 7),
+        (["qsym", "shuffle", "Z[(1),(1),(1)]", "Z[(1),(1),(1)]"], 6),
+    ],
+)
+def test_qsym_size_guard(capsys, argv, total):
+    code, out, err = _run(
+        capsys, *argv, "--colors", "a", "--max-vertices", "2"
+    )
+    assert code == 1 and out == ""
+    assert err == (
+        f"error: input has {total} vertices, over the limit of 2 "
+        "(raise with --max-vertices)\n"
+    )
+
+
+def test_deep_nesting_is_one_error_line(capsys):
+    chain = "a[" * 1499 + "a" + "]" * 1499
+    code, out, err = _run(
+        capsys, "forest", "normalize", chain, "--colors", "a"
+    )
+    assert code == 1 and out == ""
+    assert err == "error: input is nested too deeply to process\n"
 
 
 def test_verify_passes(capsys):

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from foresthall.enumeration import SizeLimitError
+from foresthall.enumeration import SizeLimitError, count_forests_of_class
 from foresthall.forest import (
     ColorTable,
     Forest,
@@ -158,6 +158,14 @@ def test_rho_size_guard():
         rho(_w((13, 0)))
     with pytest.raises(SizeLimitError):
         rho(_w((2, 0)), limit=1)
+
+
+def test_rho_honours_a_raised_limit():
+    # 13 vertices is over the default bound of 12 but within the one given.
+    image = rho(_w((13,)), limit=13)
+    assert len(image.terms) == count_forests_of_class((13,), limit=13)
+    assert set(image.terms.values()) == {1}
+    assert rho_js(13, (1,), limit=13) == image
 
 
 def test_js_values():
