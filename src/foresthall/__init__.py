@@ -10,132 +10,20 @@ all of these (:mod:`.nsym`, :mod:`.qsym`), executable identity suites
 All coefficients are exact rationals; equality checks are never approximate.
 """
 
-from .cuts import (
-    FULL_CUT,
-    CutResult,
-    count_cut_pairs,
-    cut_census,
-    enumerate_cuts,
-    enumerate_flags,
-    flag_counts,
-)
-from .enumeration import (
-    DEFAULT_SIZE_LIMIT,
-    SizeLimitError,
-    count_forests_of_class,
-    forests_of_class,
-    trees_of_class,
-)
-from .forest import (
-    EMPTY_FOREST,
-    ColorTable,
-    Forest,
-    ParseError,
-    Tree,
-    add_classes,
-    basis_class,
-    direct_sum,
-    format_class,
-    format_forest,
-    format_tree,
-    k0_class,
-    parse_class,
-    parse_forest,
-    single_vertex,
-    zero_class,
-)
-from .hall import (
-    antipode,
-    ck_comul,
-    ck_mul,
-    counit,
-    delta,
-    hall_comul,
-    hall_mul,
-    kappa,
-)
-from .linear import LinComb, bilinear, tensor, tensor_mul
-from .nsym import (
-    format_word,
-    js,
-    nsym_comul,
-    nsym_mul,
-    parse_word,
-    rho,
-    rho_js,
-    word_degree,
-)
-from .qsym import (
-    composition_degree,
-    deconcat,
-    format_composition,
-    pair,
-    parse_composition,
-    quasi_shuffle,
-    rho_t,
-)
-from .verify import SUITE_NAMES, run_all, run_suite
+from . import cuts, enumeration, forest, hall, linear, nsym, qsym, verify
+from .cuts import *
+from .enumeration import *
+from .forest import *
+from .hall import *
+from .linear import *
+from .nsym import *
+from .qsym import *
+from .verify import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "FULL_CUT",
-    "CutResult",
-    "count_cut_pairs",
-    "cut_census",
-    "enumerate_cuts",
-    "enumerate_flags",
-    "flag_counts",
-    "DEFAULT_SIZE_LIMIT",
-    "SizeLimitError",
-    "count_forests_of_class",
-    "forests_of_class",
-    "trees_of_class",
-    "EMPTY_FOREST",
-    "ColorTable",
-    "Forest",
-    "ParseError",
-    "Tree",
-    "add_classes",
-    "basis_class",
-    "direct_sum",
-    "format_class",
-    "format_forest",
-    "format_tree",
-    "k0_class",
-    "parse_class",
-    "parse_forest",
-    "single_vertex",
-    "zero_class",
-    "antipode",
-    "ck_comul",
-    "ck_mul",
-    "counit",
-    "delta",
-    "hall_comul",
-    "hall_mul",
-    "kappa",
-    "LinComb",
-    "bilinear",
-    "tensor",
-    "tensor_mul",
-    "format_word",
-    "js",
-    "nsym_comul",
-    "nsym_mul",
-    "parse_word",
-    "rho",
-    "rho_js",
-    "word_degree",
-    "composition_degree",
-    "deconcat",
-    "format_composition",
-    "pair",
-    "parse_composition",
-    "quasi_shuffle",
-    "rho_t",
-    "SUITE_NAMES",
-    "run_all",
-    "run_suite",
-    "__version__",
-]
+    name
+    for module in (cuts, enumeration, forest, hall, linear, nsym, qsym, verify)
+    for name in module.__all__
+] + ["__version__"]

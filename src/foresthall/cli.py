@@ -20,6 +20,7 @@ from .cuts import FULL_CUT, enumerate_cuts, flag_counts
 from .enumeration import (
     DEFAULT_SIZE_LIMIT,
     SizeLimitError,
+    check_size,
     forests_of_class,
 )
 from .forest import (
@@ -71,14 +72,6 @@ class _Session:
         self.max_vertices = max_vertices
         self.json_out = json_out
 
-    @property
-    def limit(self) -> int:
-        return (
-            DEFAULT_SIZE_LIMIT
-            if self.max_vertices is None
-            else self.max_vertices
-        )
-
 
 def _parse_weight_list(text: str) -> list[tuple[str, int]]:
     pairs = []
@@ -129,12 +122,29 @@ def _need_colors(session: _Session) -> ColorTable:
     return session.colors
 
 
-def _guard(session: _Session, total: int) -> None:
-    if total > session.limit:
-        raise SizeLimitError(
-            f"input has {total} vertices, over the limit of {session.limit} "
-            "(raise with --max-vertices)"
-        )
+def _session_weights(session: _Session) -> tuple[int, ...]:
+    colors = _need_colors(session)
+    if session.weights is not None:
+        return session.weights
+    return (1,) * len(colors)
+
+
+def _forests(session: _Session, *texts) -> list:
+    """Parse forest arguments, refusing a total over the size limit."""
+    colors = _need_colors(session)
+    forests = [parse_forest(text, colors) for text in texts]
+    total = sum(forest.size for forest in forests)
+    check_size("input", total, session.max_vertices)
+    return forests
+
+
+def _compositions(session: _Session, *texts) -> list:
+    """Parse composition arguments, refusing a total degree over the limit."""
+    nc = len(_need_colors(session))
+    comps = [parse_composition(text, nc) for text in texts]
+    total = sum(sum(part) for comp in comps for part in comp)
+    check_size("input", total, session.max_vertices)
+    return comps
 
 
 def _emit(session: _Session, payload: dict, lines: list[str]) -> None:
@@ -145,42 +155,111 @@ def _emit(session: _Session, payload: dict, lines: list[str]) -> None:
             print(line)
 
 
-def _element_payload(elem: LinComb, fmt_key, deg_key):
+# --- element renderers: colors -> (text of a key, class of a key) ---------
+
+
+def _forest_keys(colors: ColorTable):
+    nc = len(colors)
+    return lambda f: format_forest(f, colors), lambda f: k0_class(f, nc)
+
+
+def _word_keys(colors: ColorTable):
+    nc = len(colors)
+    return format_word, lambda w: word_degree(w, nc)
+
+
+def _composition_keys(colors: ColorTable):
+    nc = len(colors)
+    return format_composition, lambda comp: composition_degree(comp, nc)
+
+
+def _pairs_of(keys):
+    def render(colors: ColorTable):
+        fmt, deg = keys(colors)
+        return (
+            lambda p: f"{fmt(p[0])}(x){fmt(p[1])}",
+            lambda p: add_classes(deg(p[0]), deg(p[1])),
+        )
+
+    return render
+
+
+def _run_element(session, args) -> int:
+    """Compute a row of _ELEMENT_COMMANDS and print the element it yields."""
+    colors = _need_colors(session)
+    elem = args.compute(session, args)
+    fmt_key, deg_key = args.render(colors)
     rows = sorted((fmt_key(k), k) for k in elem.terms)
     terms = {s: str(elem.terms[k]) for s, k in rows}
     degrees = {deg_key(k) for k in elem.terms}
     degree = list(degrees.pop()) if len(degrees) == 1 else None
-    payload = {"terms": terms, "degree": degree}
     lines = [f"{terms[s]} {s}" for s, _ in rows] if rows else ["0"]
-    return payload, lines
-
-
-def _emit_element(session: _Session, elem: LinComb, fmt_key, deg_key) -> int:
-    payload, lines = _element_payload(elem, fmt_key, deg_key)
-    _emit(session, payload, lines)
+    _emit(session, {"terms": terms, "degree": degree}, lines)
     return 0
 
 
-def _forest_renderers(session: _Session):
-    colors = _need_colors(session)
-    nc = len(colors)
-    return (
-        lambda f: format_forest(f, colors),
-        lambda f: k0_class(f, nc),
-    )
+# --- the command table -----------------------------------------------------
 
 
-def _forest_pair_renderers(session: _Session):
-    colors = _need_colors(session)
-    nc = len(colors)
-    return (
-        lambda p: f"{format_forest(p[0], colors)}"
-        f"(x){format_forest(p[1], colors)}",
-        lambda p: add_classes(k0_class(p[0], nc), k0_class(p[1], nc)),
-    )
+def _arg(name: str, help_text: str, **keywords):
+    return name, dict(keywords, help=help_text)
 
 
-# --- subcommand handlers ---------------------------------------------------
+def _req(flag: str, help_text: str, **keywords):
+    return flag, dict(keywords, required=True, help=help_text)
+
+
+_EXPR = _arg("expr", "forest expression")
+_CLASS = _req("--class", "class vector (2,1)", dest="class_vec")
+_N = _req("--n", "total weight", type=int)
+
+# Every command whose result is one element of an algebra, one row each:
+# (group, name, help, arguments, compute(session, args), renderer).
+_ELEMENT_COMMANDS = (
+    ("hall", "mul", "delta_A * delta_B",
+     [_arg("left", "forest expression"), _arg("right", "forest expression")],
+     lambda s, a: hall_mul(*map(delta, _forests(s, a.left, a.right))),
+     _forest_keys),
+    ("hall", "comul", "coproduct of delta_A", [_EXPR],
+     lambda s, a: hall_comul(delta(*_forests(s, a.expr))),
+     _pairs_of(_forest_keys)),
+    ("hall", "kappa", "class characteristic function", [_CLASS],
+     lambda s, a: kappa(parse_class(a.class_vec, len(s.colors)),
+                        s.max_vertices),
+     _forest_keys),
+    ("hall", "antipode", "antipode of delta_A", [_EXPR],
+     lambda s, a: antipode(delta(*_forests(s, a.expr)), s.max_vertices),
+     _forest_keys),
+    ("nsym", "rho", "image of a word in the Hall algebra",
+     [_req("--word", "word such as (1,1)|(1,0); 1 = unit")],
+     lambda s, a: rho(LinComb.basis(parse_word(a.word, len(s.colors))),
+                      s.max_vertices),
+     _forest_keys),
+    ("nsym", "js", "weight-n generator sum", [_N],
+     lambda s, a: js(a.n, _session_weights(s), s.max_vertices),
+     _word_keys),
+    ("nsym", "rhojs", "rho of the weight-n sum", [_N],
+     lambda s, a: rho_js(a.n, _session_weights(s), s.max_vertices),
+     _forest_keys),
+    ("qsym", "shuffle", "quasi-shuffle product",
+     [_arg("left", "composition such as Z[(1,0)]"),
+      _arg("right", "composition such as Z[(0,1),(2,0)]")],
+     lambda s, a: quasi_shuffle(
+         *map(LinComb.basis, _compositions(s, a.left, a.right))),
+     _composition_keys),
+    ("qsym", "deconcat", "deconcatenation coproduct",
+     [_arg("expr", "composition such as Z[(1,0),(0,1)]")],
+     lambda s, a: deconcat(LinComb.basis(*_compositions(s, a.expr))),
+     _pairs_of(_composition_keys)),
+    ("qsym", "rhot", "flag expansion of a forest",
+     [_req("--forest", "forest expression")],
+     lambda s, a: rho_t(*_forests(s, a.forest), len(s.colors),
+                        s.max_vertices),
+     _composition_keys),
+)
+
+
+# --- the other commands ----------------------------------------------------
 
 
 def _cmd_forest_normalize(session, args) -> int:
@@ -220,8 +299,7 @@ def _fmt_cut(cut) -> list:
 
 def _cmd_cuts_list(session, args) -> int:
     colors = _need_colors(session)
-    forest = parse_forest(args.expr, colors)
-    _guard(session, forest.size)
+    (forest,) = _forests(session, args.expr)
     rows = []
     for cut, result in enumerate_cuts(forest):
         rows.append(
@@ -252,8 +330,7 @@ def _cmd_cuts_list(session, args) -> int:
 def _cmd_cuts_flags(session, args) -> int:
     colors = _need_colors(session)
     nc = len(colors)
-    forest = parse_forest(args.expr, colors)
-    _guard(session, forest.size)
+    (forest,) = _forests(session, args.expr)
     if forest.size == 0:
         raise CliError("flags are defined for nonempty forests")
     if args.k is not None and args.k < 1:
@@ -278,116 +355,11 @@ def _cmd_cuts_flags(session, args) -> int:
 def _cmd_enumerate(session, args) -> int:
     colors = _need_colors(session)
     alpha = parse_class(args.class_vec, len(colors))
-    forests = forests_of_class(alpha, limit=session.limit)
+    forests = forests_of_class(alpha, limit=session.max_vertices)
     names = [format_forest(f, colors) for f in forests]
     payload = {"class": list(alpha), "forests": names, "count": len(names)}
     _emit(session, payload, names + [f"count={len(names)}"])
     return 0
-
-
-def _cmd_hall_mul(session, args) -> int:
-    colors = _need_colors(session)
-    left = parse_forest(args.left, colors)
-    right = parse_forest(args.right, colors)
-    _guard(session, left.size + right.size)
-    fmt, deg = _forest_renderers(session)
-    return _emit_element(session, hall_mul(delta(left), delta(right)), fmt, deg)
-
-
-def _cmd_hall_comul(session, args) -> int:
-    colors = _need_colors(session)
-    forest = parse_forest(args.expr, colors)
-    _guard(session, forest.size)
-    fmt, deg = _forest_pair_renderers(session)
-    return _emit_element(session, hall_comul(delta(forest)), fmt, deg)
-
-
-def _cmd_hall_kappa(session, args) -> int:
-    colors = _need_colors(session)
-    alpha = parse_class(args.class_vec, len(colors))
-    fmt, deg = _forest_renderers(session)
-    return _emit_element(session, kappa(alpha, limit=session.limit), fmt, deg)
-
-
-def _cmd_hall_antipode(session, args) -> int:
-    colors = _need_colors(session)
-    forest = parse_forest(args.expr, colors)
-    fmt, deg = _forest_renderers(session)
-    return _emit_element(
-        session, antipode(delta(forest), limit=session.limit), fmt, deg
-    )
-
-
-def _cmd_nsym_rho(session, args) -> int:
-    colors = _need_colors(session)
-    word = parse_word(args.word, len(colors))
-    fmt, deg = _forest_renderers(session)
-    return _emit_element(
-        session, rho(LinComb.basis(word), limit=session.limit), fmt, deg
-    )
-
-
-def _session_weights(session: _Session) -> tuple[int, ...]:
-    colors = _need_colors(session)
-    if session.weights is not None:
-        return session.weights
-    return (1,) * len(colors)
-
-
-def _cmd_nsym_js(session, args) -> int:
-    nc = len(_need_colors(session))
-    elem = js(args.n, _session_weights(session), limit=session.limit)
-    return _emit_element(
-        session, elem, format_word, lambda w: word_degree(w, nc)
-    )
-
-
-def _cmd_nsym_rhojs(session, args) -> int:
-    elem = rho_js(args.n, _session_weights(session), limit=session.limit)
-    fmt, deg = _forest_renderers(session)
-    return _emit_element(session, elem, fmt, deg)
-
-
-def _cmd_qsym_shuffle(session, args) -> int:
-    nc = len(_need_colors(session))
-    left = parse_composition(args.left, nc)
-    right = parse_composition(args.right, nc)
-    _guard(session, sum(composition_degree(left + right, nc)))
-    elem = quasi_shuffle(LinComb.basis(left), LinComb.basis(right))
-    return _emit_element(
-        session,
-        elem,
-        format_composition,
-        lambda comp: composition_degree(comp, nc),
-    )
-
-
-def _cmd_qsym_deconcat(session, args) -> int:
-    nc = len(_need_colors(session))
-    comp = parse_composition(args.expr, nc)
-    _guard(session, sum(composition_degree(comp, nc)))
-    elem = deconcat(LinComb.basis(comp))
-    return _emit_element(
-        session,
-        elem,
-        lambda p: f"{format_composition(p[0])}(x){format_composition(p[1])}",
-        lambda p: add_classes(
-            composition_degree(p[0], nc), composition_degree(p[1], nc)
-        ),
-    )
-
-
-def _cmd_qsym_rhot(session, args) -> int:
-    colors = _need_colors(session)
-    nc = len(colors)
-    forest = parse_forest(args.forest, colors)
-    elem = rho_t(forest, nc, limit=session.limit)
-    return _emit_element(
-        session,
-        elem,
-        format_composition,
-        lambda comp: composition_degree(comp, nc),
-    )
 
 
 def _fmt_side(side) -> str:
@@ -439,6 +411,14 @@ def _cmd_verify(session, args) -> int:
 
 # --- parser ----------------------------------------------------------------
 
+_GROUPS = {
+    "forest": "parse and normalize forests",
+    "cuts": "admissible cuts and flags",
+    "hall": "Hall algebra in the delta basis",
+    "nsym": "noncommutative symmetric functions on class words",
+    "qsym": "quasisymmetric functions on class compositions",
+}
+
 
 def _common_flags() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
@@ -474,78 +454,39 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     top = parser.add_subparsers(dest="command", required=True)
+    groups = {}
 
-    def leaf(group, name, func, help_text):
-        p = group.add_parser(name, parents=[common], help=help_text)
-        p.set_defaults(func=func)
-        return p
+    def leaf(group, name, help_text, arguments, **defaults):
+        if group is None:
+            sub = top
+        elif group in groups:
+            sub = groups[group]
+        else:
+            sub = groups[group] = top.add_parser(
+                group, help=_GROUPS[group]
+            ).add_subparsers(dest="action", required=True)
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        for flag, keywords in arguments:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(**defaults)
 
-    forest = top.add_parser("forest", help="parse and normalize forests")
-    fsub = forest.add_subparsers(dest="action", required=True)
-    p = leaf(fsub, "normalize", _cmd_forest_normalize, "canonical form")
-    p.add_argument("expr", help="forest expression")
-    p = leaf(fsub, "class", _cmd_forest_class, "per-color vertex counts")
-    p.add_argument("expr", help="forest expression")
-
-    cuts_p = top.add_parser("cuts", help="admissible cuts and flags")
-    csub = cuts_p.add_subparsers(dest="action", required=True)
-    p = leaf(csub, "list", _cmd_cuts_list, "all admissible cuts")
-    p.add_argument("expr", help="forest expression")
-    p = leaf(csub, "flags", _cmd_cuts_flags, "iterated-cut class sequences")
-    p.add_argument("expr", help="forest expression")
-    p.add_argument("--k", type=int, help="flag length (default: all)")
-
-    p = leaf(top, "enumerate", _cmd_enumerate, "forests of a given class")
-    p.add_argument(
-        "--class", dest="class_vec", required=True, help="class vector (2,1)"
-    )
-
-    hall_p = top.add_parser("hall", help="Hall algebra in the delta basis")
-    hsub = hall_p.add_subparsers(dest="action", required=True)
-    p = leaf(hsub, "mul", _cmd_hall_mul, "delta_A * delta_B")
-    p.add_argument("left", help="forest expression")
-    p.add_argument("right", help="forest expression")
-    p = leaf(hsub, "comul", _cmd_hall_comul, "coproduct of delta_A")
-    p.add_argument("expr", help="forest expression")
-    p = leaf(hsub, "kappa", _cmd_hall_kappa, "class characteristic function")
-    p.add_argument(
-        "--class", dest="class_vec", required=True, help="class vector (2,1)"
-    )
-    p = leaf(hsub, "antipode", _cmd_hall_antipode, "antipode of delta_A")
-    p.add_argument("expr", help="forest expression")
-
-    nsym_p = top.add_parser(
-        "nsym", help="noncommutative symmetric functions on class words"
-    )
-    nsub = nsym_p.add_subparsers(dest="action", required=True)
-    p = leaf(nsub, "rho", _cmd_nsym_rho, "image of a word in the Hall algebra")
-    p.add_argument(
-        "--word", required=True, help="word such as (1,1)|(1,0); 1 = unit"
-    )
-    p = leaf(nsub, "js", _cmd_nsym_js, "weight-n generator sum")
-    p.add_argument("--n", type=int, required=True, help="total weight")
-    p = leaf(nsub, "rhojs", _cmd_nsym_rhojs, "rho of the weight-n sum")
-    p.add_argument("--n", type=int, required=True, help="total weight")
-
-    qsym_p = top.add_parser(
-        "qsym", help="quasisymmetric functions on class compositions"
-    )
-    qsub = qsym_p.add_subparsers(dest="action", required=True)
-    p = leaf(qsub, "shuffle", _cmd_qsym_shuffle, "quasi-shuffle product")
-    p.add_argument("left", help="composition such as Z[(1,0)]")
-    p.add_argument("right", help="composition such as Z[(0,1),(2,0)]")
-    p = leaf(qsub, "deconcat", _cmd_qsym_deconcat, "deconcatenation coproduct")
-    p.add_argument("expr", help="composition such as Z[(1,0),(0,1)]")
-    p = leaf(qsub, "rhot", _cmd_qsym_rhot, "flag expansion of a forest")
-    p.add_argument("--forest", required=True, help="forest expression")
-
-    p = leaf(top, "verify", _cmd_verify, "run exact identity suites")
-    p.add_argument(
-        "suite",
-        choices=list(verify_mod.SUITE_NAMES) + ["all"],
-        help="which suite to run",
-    )
-
+    leaf("forest", "normalize", "canonical form", [_EXPR],
+         func=_cmd_forest_normalize)
+    leaf("forest", "class", "per-color vertex counts", [_EXPR],
+         func=_cmd_forest_class)
+    leaf("cuts", "list", "all admissible cuts", [_EXPR], func=_cmd_cuts_list)
+    leaf("cuts", "flags", "iterated-cut class sequences",
+         [_EXPR, _arg("--k", "flag length (default: all)", type=int)],
+         func=_cmd_cuts_flags)
+    leaf(None, "enumerate", "forests of a given class", [_CLASS],
+         func=_cmd_enumerate)
+    for group, name, help_text, args, compute, render in _ELEMENT_COMMANDS:
+        leaf(group, name, help_text, args, func=_run_element,
+             compute=compute, render=render)
+    suites = [*verify_mod.SUITE_NAMES, "all"]
+    leaf(None, "verify", "run exact identity suites",
+         [_arg("suite", "which suite to run", choices=suites)],
+         func=_cmd_verify)
     return parser
 
 
@@ -555,7 +496,10 @@ def main(argv=None) -> int:
     try:
         session = _make_session(args)
         return args.func(session, args)
-    except (CliError, ParseError, SizeLimitError, ValueError) as exc:
+    except SizeLimitError as exc:
+        print(f"error: {exc} (raise with --max-vertices)", file=sys.stderr)
+        return 1
+    except (CliError, ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RecursionError:

@@ -30,18 +30,26 @@ class SizeLimitError(ValueError):
     """A request exceeded the configured vertex budget."""
 
 
+def check_size(subject: str, total: int, limit: int | None) -> None:
+    """Refuse ``total`` vertices over ``limit`` (None: DEFAULT_SIZE_LIMIT).
+
+    The one size guard of the package: every entry point that takes a limit
+    passes through here, so all refusals read the same way.
+    """
+    bound = DEFAULT_SIZE_LIMIT if limit is None else limit
+    if total > bound:
+        raise SizeLimitError(
+            f"{subject} has {total} vertices, over the limit of {bound}"
+        )
+
+
 def _check_class(alpha: tuple[int, ...], limit: int | None) -> None:
     shown = "(" + ",".join(str(a) for a in alpha) + ")"
     if not alpha:
         raise ValueError("class vector needs at least one color")
     if any(a < 0 for a in alpha):
         raise ValueError(f"class entries must be non-negative: {shown}")
-    bound = DEFAULT_SIZE_LIMIT if limit is None else limit
-    total = sum(alpha)
-    if total > bound:
-        raise SizeLimitError(
-            f"class {shown} has {total} vertices, over the limit of {bound}"
-        )
+    check_size(f"class {shown}", sum(alpha), limit)
 
 
 def _decrement(alpha: tuple[int, ...], s: int) -> tuple[int, ...]:

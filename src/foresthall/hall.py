@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .cuts import count_cut_pairs, enumerate_cuts
-from .enumeration import DEFAULT_SIZE_LIMIT, SizeLimitError, forests_of_class
+from .enumeration import check_size, forests_of_class
 from .forest import EMPTY_FOREST, Forest, Tree, direct_sum
 from .linear import LinComb, bilinear
 
@@ -148,17 +148,13 @@ def counit(f: LinComb) -> Fraction:
 
 def antipode(f: LinComb, limit: int | None = None) -> LinComb:
     """Hopf antipode, by the connected graded recursion."""
-    bound = DEFAULT_SIZE_LIMIT if limit is None else limit
     for forest in f.terms:
-        if forest.size > bound:
-            raise SizeLimitError(
-                f"antipode of a {forest.size}-vertex forest exceeds the "
-                f"limit of {bound}"
-            )
-    out = LinComb()
+        check_size("forest", forest.size, limit)
+    out = []
     for forest, c in f.terms.items():
-        out = out + c * _antipode_delta(forest)
-    return out
+        image = _antipode_delta(forest)
+        out.extend((k, c * v) for k, v in image.terms.items())
+    return LinComb(out)
 
 
 @lru_cache(maxsize=None)
@@ -167,12 +163,13 @@ def _antipode_delta(a: Forest) -> LinComb:
     # because both tensor legs of every reduced term are strictly smaller.
     if a.size == 0:
         return LinComb.basis(a)
-    acc = -LinComb.basis(a)
+    terms = [(a, -1)]
     for (left, right), c in _delta_comul(a).terms.items():
         if left.size == 0 or right.size == 0:
             continue
-        acc = acc - c * hall_mul(_antipode_delta(left), LinComb.basis(right))
-    return acc
+        product = hall_mul(_antipode_delta(left), LinComb.basis(right))
+        terms.extend((k, -c * v) for k, v in product.terms.items())
+    return LinComb(terms)
 
 
 def ck_mul(a: Forest, b: Forest) -> Forest:

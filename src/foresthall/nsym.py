@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .enumeration import DEFAULT_SIZE_LIMIT, SizeLimitError
+from .enumeration import check_size
 from .forest import EMPTY_FOREST, ParseError, add_classes, format_class, parse_class
 from .hall import hall_mul, kappa
 from .linear import LinComb
@@ -99,13 +99,8 @@ def _rho_word(word: Word) -> LinComb:
 def rho(f: LinComb, limit: int | None = None) -> LinComb:
     """Algebra map into the Hall algebra: the one-letter word on alpha goes
     to kappa_alpha, concatenation goes to the convolution product."""
-    bound = DEFAULT_SIZE_LIMIT if limit is None else limit
     for word in f.terms:
-        total = sum(sum(letter) for letter in word)
-        if total > bound:
-            raise SizeLimitError(
-                f"rho of a degree-{total} word exceeds the limit of {bound}"
-            )
+        check_size("word", sum(sum(letter) for letter in word), limit)
     out = []
     for word, c in f.terms.items():
         out.extend((k, c * v) for k, v in _rho_word(word).terms.items())
@@ -116,7 +111,9 @@ def js(n: int, weights, limit: int | None = None) -> LinComb:
     """Sum of the one-letter words over all classes of total weight ``n``.
 
     ``weights`` assigns a positive integer to each color; the weight of a
-    class is the weighted vertex count.  ``js(0, ...)`` is the unit.
+    class is the weighted vertex count.  ``js(0, ...)`` is the unit.  Raises
+    SizeLimitError when some class of weight ``n`` has more than ``limit``
+    vertices (default 12).
     """
     weights = tuple(int(w) for w in weights)
     if not weights:
@@ -125,12 +122,14 @@ def js(n: int, weights, limit: int | None = None) -> LinComb:
         raise ValueError(f"weights must be positive: {weights}")
     if n < 0:
         raise ValueError("weight must be non-negative")
-    bound = DEFAULT_SIZE_LIMIT if limit is None else limit
-    if n > bound:
-        raise SizeLimitError(f"weight {n} exceeds the limit of {bound}")
+    # A class of weight n has at least n / max(weights) vertices; refusing
+    # on that bound first keeps the enumeration below small.
+    fewest = -(-n // max(weights))
+    check_size(f"the smallest class of weight {n}", fewest, limit)
     terms = []
     for alpha in itertools.product(*(range(n // w + 1) for w in weights)):
         if sum(a * w for a, w in zip(alpha, weights)) == n:
+            check_size(f"class {format_class(alpha)}", sum(alpha), limit)
             terms.append(((alpha,) if any(alpha) else (), 1))
     return LinComb(terms)
 

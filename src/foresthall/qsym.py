@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .cuts import flag_counts
-from .enumeration import DEFAULT_SIZE_LIMIT, SizeLimitError
+from .enumeration import check_size
 from .forest import Forest, ParseError, add_classes, format_class, parse_class
 from .linear import LinComb, bilinear
 
@@ -96,12 +96,7 @@ def rho_t(forest: Forest, ncolors: int, limit: int | None = None) -> LinComb:
     of the forest with those root-part classes; the empty forest maps to the
     unit.
     """
-    bound = DEFAULT_SIZE_LIMIT if limit is None else limit
-    if forest.size > bound:
-        raise SizeLimitError(
-            f"rho_t of a {forest.size}-vertex forest exceeds the limit of "
-            f"{bound}"
-        )
+    check_size("forest", forest.size, limit)
     return LinComb(flag_counts(forest, ncolors))
 
 

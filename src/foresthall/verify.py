@@ -25,7 +25,7 @@ from .forest import (
     format_forest,
     k0_class,
 )
-from .linear import LinComb, tensor
+from .linear import LinComb, tensor, tensor_mul
 
 __all__ = ["SUITE_NAMES", "run_suite", "run_all"]
 
@@ -182,11 +182,13 @@ def _suite_js_split(colors, bound, weights) -> dict:
     report = _new_report("js-split", colors, bound)
     for n in range(bound + 1):
         lhs = nsym.nsym_comul(nsym.js(n, ws, limit=bound))
-        rhs = LinComb()
+        terms = []
         for i in range(n + 1):
-            rhs = rhs + tensor(
+            split = tensor(
                 nsym.js(i, ws, limit=bound), nsym.js(n - i, ws, limit=bound)
             )
+            terms.extend(split.terms.items())
+        rhs = LinComb(terms)
         _check(report, f"n={n} weights={ws}", lhs, rhs, _fmt_word_pair)
     return report
 
@@ -242,6 +244,9 @@ def _suite_hopf_axioms(colors, bound, weights) -> dict:
     fmt_triple = _fmt_forest_triple(colors)
     empty = LinComb.basis(Forest())
 
+    def delta_mul(x, y):
+        return hall.hall_mul(hall.delta(x), hall.delta(y))
+
     for a in universe:
         da = hall.delta(a)
         name = format_forest(a, colors)
@@ -286,17 +291,22 @@ def _suite_hopf_axioms(colors, bound, weights) -> dict:
 
         # antipode: m(S (x) id)Delta = unit . counit = m(id (x) S)Delta
         eps_side = hall.counit(da) * empty
-        s_left = LinComb()
-        s_right = LinComb()
+        s_left, s_right = [], []
         for (x, y), c in comul.terms.items():
-            s_left = s_left + c * hall.hall_mul(
+            left = hall.hall_mul(
                 hall.antipode(hall.delta(x), limit=bound), hall.delta(y)
             )
-            s_right = s_right + c * hall.hall_mul(
+            right = hall.hall_mul(
                 hall.delta(x), hall.antipode(hall.delta(y), limit=bound)
             )
-        _check(report, f"antipode-left A={name}", s_left, eps_side, fmt)
-        _check(report, f"antipode-right A={name}", s_right, eps_side, fmt)
+            s_left.extend((k, c * v) for k, v in left.terms.items())
+            s_right.extend((k, c * v) for k, v in right.terms.items())
+        _check(
+            report, f"antipode-left A={name}", LinComb(s_left), eps_side, fmt
+        )
+        _check(
+            report, f"antipode-right A={name}", LinComb(s_right), eps_side, fmt
+        )
 
     for a in universe:
         for b in universe:
@@ -309,18 +319,10 @@ def _suite_hopf_axioms(colors, bound, weights) -> dict:
 
             # bialgebra compatibility
             lhs = hall.hall_comul(hall.hall_mul(da, db))
-            rhs_terms = []
-            for (x, y), c in hall.hall_comul(da).terms.items():
-                for (u, v), d in hall.hall_comul(db).terms.items():
-                    prod_l = hall.hall_mul(hall.delta(x), hall.delta(u))
-                    prod_r = hall.hall_mul(hall.delta(y), hall.delta(v))
-                    scale = c * d
-                    for kl, cl in prod_l.terms.items():
-                        for kr, cr in prod_r.terms.items():
-                            rhs_terms.append(((kl, kr), scale * cl * cr))
-            _check(
-                report, f"compat {pair_name}", lhs, LinComb(rhs_terms), fmt_pair
+            rhs = tensor_mul(
+                hall.hall_comul(da), hall.hall_comul(db), delta_mul, delta_mul
             )
+            _check(report, f"compat {pair_name}", lhs, rhs, fmt_pair)
 
             for c3 in universe:
                 if a.size + b.size + c3.size > bound:
@@ -420,17 +422,18 @@ def _suite_rhot_hom(colors, bound, weights) -> dict:
 
     for a in universe:
         lhs = qsym.deconcat(qsym.rho_t(a, nc, limit=bound))
-        rhs = LinComb()
+        terms = []
         for pruned, root in hall.ck_comul(a):
-            rhs = rhs + tensor(
+            split = tensor(
                 qsym.rho_t(pruned, nc, limit=bound),
                 qsym.rho_t(root, nc, limit=bound),
             )
+            terms.extend(split.terms.items())
         _check(
             report,
             f"comul A={format_forest(a, colors)}",
             lhs,
-            rhs,
+            LinComb(terms),
             _fmt_comp_pair,
         )
     return report

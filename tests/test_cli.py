@@ -1,5 +1,6 @@
 """CLI surface: output text, JSON schema, exit codes, determinism."""
 
+import argparse
 import json
 import pathlib
 import subprocess
@@ -9,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import foresthall.hall
-from foresthall.cli import main
+from foresthall.cli import build_parser, main
 from foresthall.forest import ColorTable, parse_forest
 from foresthall.linear import LinComb
 from foresthall.qsym import format_composition, parse_composition
@@ -192,26 +193,102 @@ def test_qsym_rhot_json(capsys):
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize(
-    "name, argv",
-    [
-        ("flags_all", ["cuts", "flags", "a[b,a]+b", "--colors", "a,b"]),
-        (
-            "flags_k2",
-            ["cuts", "flags", "a[b,a]+b", "--colors", "a,b", "--k", "2"],
-        ),
-        (
-            "rhot",
-            ["qsym", "rhot", "--forest", "a[b[a],b]+a", "--colors", "a,b"],
-        ),
-    ],
-)
-@pytest.mark.parametrize("json_out", [False, True])
-def test_flag_output_matches_golden(capsys, name, argv, json_out):
+FLAG_GOLDEN = [
+    ("flags_all", ["cuts", "flags", "a[b,a]+b", "--colors", "a,b"]),
+    ("flags_k2", ["cuts", "flags", "a[b,a]+b", "--colors", "a,b", "--k", "2"]),
+    ("rhot", ["qsym", "rhot", "--forest", "a[b[a],b]+a", "--colors", "a,b"]),
+]
+
+# One case for each leaf command that FLAG_GOLDEN does not cover.
+LEAF_GOLDEN = [
+    (
+        "forest_normalize",
+        ["forest", "normalize", "b + a[b, a ]", "--colors", "a,b"],
+    ),
+    ("forest_class", ["forest", "class", "a[b,a]+b", "--colors", "a,b"]),
+    ("cuts_list", ["cuts", "list", "a[b,a]+b", "--colors", "a,b"]),
+    ("enumerate", ["enumerate", "--class", "(2,1)", "--colors", "a,b"]),
+    ("hall_mul", ["hall", "mul", "a[b]", "a+b", "--colors", "a,b"]),
+    ("hall_comul", ["hall", "comul", "a+a+b[a]", "--colors", "a,b"]),
+    ("hall_kappa", ["hall", "kappa", "--class", "(2,1)", "--colors", "a,b"]),
+    ("hall_antipode", ["hall", "antipode", "a+a+b", "--colors", "a,b"]),
+    ("nsym_rho", ["nsym", "rho", "--word", "(1,0)|(1,1)", "--colors", "a,b"]),
+    ("nsym_js", ["nsym", "js", "--n", "4", "--weights", "a=1,b=2"]),
+    ("nsym_rhojs", ["nsym", "rhojs", "--n", "3", "--weights", "a=1,b=2"]),
+    (
+        "qsym_shuffle",
+        ["qsym", "shuffle", "Z[(1,0),(0,1)]", "Z[(1,1)]", "--colors", "a,b"],
+    ),
+    (
+        "qsym_deconcat",
+        ["qsym", "deconcat", "Z[(1,0),(0,1),(2,0)]", "--colors", "a,b"],
+    ),
+    ("verify_all", ["verify", "all", "--colors", "a,b", "--max-vertices", "2"]),
+]
+
+
+def _parser_paths(parser, prefix=()):
+    """(command path, is a leaf) for ``parser`` and each of its commands."""
+    subs = [
+        action
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    if not subs:
+        return [(prefix, True)]
+    paths = [(prefix, False)]
+    for name, child in subs[0].choices.items():
+        paths.extend(_parser_paths(child, prefix + (name,)))
+    return paths
+
+
+def test_every_leaf_has_a_golden_case():
+    paths = _parser_paths(build_parser())
+    leaves = {path for path, is_leaf in paths if is_leaf}
+    covered = {
+        tuple(argv[:k])
+        for _, argv in FLAG_GOLDEN + LEAF_GOLDEN
+        for k in (1, 2)
+        if tuple(argv[:k]) in leaves
+    }
+    assert covered == leaves
+
+
+def _assert_golden(capsys, name, argv, json_out):
     suffix = "_json" if json_out else ""
     code, out, err = _run(capsys, *argv, *(["--json"] if json_out else []))
     assert (code, err) == (0, "")
     assert out == (GOLDEN / f"{name}{suffix}.out").read_text()
+
+
+@pytest.mark.parametrize("name, argv", FLAG_GOLDEN)
+@pytest.mark.parametrize("json_out", [False, True])
+def test_flag_output_matches_golden(capsys, name, argv, json_out):
+    _assert_golden(capsys, name, argv, json_out)
+
+
+@pytest.mark.parametrize(
+    "name, argv", LEAF_GOLDEN, ids=[name for name, _ in LEAF_GOLDEN]
+)
+@pytest.mark.parametrize("json_out", [False, True])
+def test_leaf_output_matches_golden(capsys, name, argv, json_out):
+    _assert_golden(capsys, name, argv, json_out)
+
+
+@pytest.mark.parametrize(
+    "path",
+    [path for path, _ in _parser_paths(build_parser())],
+    ids=lambda path: " ".join(path) or "foresthall",
+)
+def test_help_matches_golden(capsys, monkeypatch, path):
+    # argparse wraps help to the terminal width; fix it.  The files hold
+    # the help as Python 3.11's argparse renders it.
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([*path, "--help"])
+    assert exc.value.code == 0
+    name = "_".join(("help",) + path)
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
 
 
 @pytest.mark.parametrize(
@@ -229,6 +306,44 @@ def test_qsym_size_guard(capsys, argv, total):
     assert err == (
         f"error: input has {total} vertices, over the limit of 2 "
         "(raise with --max-vertices)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (["js", "--n", "14", "--weights", "a=2"], "1 (7)\n"),
+        (
+            ["js", "--n", "4", "--weights", "a=2", "--max-vertices", "3"],
+            "1 (2)\n",
+        ),
+        (
+            ["rhojs", "--n", "4", "--weights", "a=2", "--max-vertices", "3"],
+            "1 a+a\n1 a[a]\n",
+        ),
+    ],
+    ids=["js-14", "js-4-limit-3", "rhojs-4-limit-3"],
+)
+def test_js_guard_counts_vertices_not_weight(capsys, argv, out):
+    assert _run(capsys, "nsym", *argv) == (0, out, "")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["--n", "26", "--weights", "a=2"],
+            "the smallest class of weight 26 has 13 vertices",
+        ),
+        (["--n", "13", "--weights", "a=1,b=2"], "class (13,0) has 13 vertices"),
+    ],
+    ids=["early", "exact"],
+)
+def test_js_size_guard(capsys, argv, message):
+    code, out, err = _run(capsys, "nsym", "js", *argv)
+    assert code == 1 and out == ""
+    assert err == (
+        f"error: {message}, over the limit of 12 (raise with --max-vertices)\n"
     )
 
 
@@ -311,12 +426,13 @@ def test_usage_errors_exit_two():
     assert exc.value.code == 2
 
 
-def test_module_entry_point():
+@pytest.mark.parametrize("module", ["foresthall.cli", "foresthall"])
+def test_module_entry_point(module):
     result = subprocess.run(
         [
             sys.executable,
             "-m",
-            "foresthall.cli",
+            module,
             "forest",
             "normalize",
             "b+a",

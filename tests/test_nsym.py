@@ -189,6 +189,18 @@ def test_js_validation():
         js(4, (1, 1), limit=3)
 
 
+def test_js_limit_counts_vertices_not_weight():
+    # weight 14 in one color of weight 2 is the 7-vertex class (7)
+    assert js(14, (2,)) == LinComb.basis(((7,),))
+    assert js(4, (2,), limit=3) == LinComb.basis(((2,),))
+    with pytest.raises(SizeLimitError):
+        js(26, (2,))
+    # (13,0) has 13 vertices although (1,6) has only 7
+    with pytest.raises(SizeLimitError):
+        js(13, (1, 2))
+    assert rho_js(14, (2,)) == rho(LinComb.basis(((7,),)))
+
+
 def test_comul_of_js_splits_the_weight():
     # the weight-n sum splits as sum over i+j=n of js_i (x) js_j
     weights = (1, 2)
