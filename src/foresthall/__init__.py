@@ -22,8 +22,22 @@ from .verify import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    name
-    for module in (cuts, enumeration, forest, hall, linear, nsym, qsym, verify)
-    for name in module.__all__
-] + ["__version__"]
+_MODULES = (cuts, enumeration, forest, hall, linear, nsym, qsym, verify)
+
+
+def clear_caches() -> None:
+    """Empty every memo of the package's modules, releasing what it holds.
+
+    The memos are unbounded, so a long session grows until this is called.
+    Results are unchanged afterwards; they are only recomputed.
+    """
+    for module in _MODULES:
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
+__all__ = [name for module in _MODULES for name in module.__all__] + [
+    "clear_caches",
+    "__version__",
+]

@@ -12,8 +12,10 @@ component, so enumeration is deterministic and repeat (pruned, root) pairs
 coming from genuinely different edge sets stay distinguishable.
 
 Cut lists are rebuilt on every call to ``enumerate_cuts``; what is memoized
-is what is read off them: the per-tree cuts, the (pruned, root) census
-behind the Hall product, and the flag counts behind rho_t.
+is what is read off them: the per-tree cuts, the (pruned, root) census, and
+the flag counts behind rho_t.  The census is not on the Hall product's
+path (that counts graft orbits); it is the independent oracle that the
+hall-oracle suite and the tests compare the product with.
 """
 
 from __future__ import annotations

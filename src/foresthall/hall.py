@@ -3,11 +3,20 @@
 The delta basis is indexed by canonical forests.  The product counts
 admissible cuts: the coefficient of delta_M in delta_A * delta_B is the
 number of cuts of M whose pruned part is isomorphic to A and whose root part
-is isomorphic to B.  Candidate forests M are produced by grafting the
-components of A onto B (each component hangs below some vertex of B or drops
-in as a new component); the coefficient is then recomputed by cut counting,
-never read off grafting multiplicities, which overcount whenever
-automorphisms identify attachment sites.
+is isomorphic to B.  It is computed as a Ringel-Hall orbit count, without
+listing the cuts of M:
+
+    coeff(M) = n_M * |Aut M| / (|Aut A| * |Aut B|)
+
+where n_M is the number of ordered assignments sending each component of A
+to a vertex of B (it hangs below that vertex) or to "new component" that
+build M.  Aut M acts freely on the triples (cut, isomorphism A -> pruned
+part, isomorphism B -> root part), there are coeff(M) |Aut A| |Aut B| of
+them, and their orbits are exactly those assignments, so the division is
+exact.  Raw assignment counts alone are wrong whenever automorphisms
+identify attachment sites.  Automorphism counts come from the canonical
+form: equal children sit next to each other, and a run of m equal subtrees
+contributes m! times the m-th power of their own count.
 
 The coproduct is dual to disjoint union: delta_A splits into the distinct
 ordered pairs (A', A'') with A' + A'' isomorphic to A, each with coefficient
@@ -22,12 +31,12 @@ the basis level.
 
 from __future__ import annotations
 
-import bisect
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .cuts import count_cut_pairs, enumerate_cuts
+from .cuts import enumerate_cuts
 from .enumeration import check_size, forests_of_class
 from .forest import EMPTY_FOREST, Forest, Tree, direct_sum
 from .linear import LinComb, bilinear
@@ -61,46 +70,83 @@ def _attach(tree: Tree, base: int, extras: dict) -> Tree:
     return Tree(tree.color, new_children)
 
 
-def _graft_candidates(a: Forest, b: Forest) -> list[Forest]:
-    """Forests obtainable by attaching each component of ``a`` at some vertex
-    of ``b`` or adding it as a new component.
+def _aut(trees) -> int:
+    # Equal trees are adjacent in the canonical order.
+    count = 1
+    for tree, group in itertools.groupby(trees):
+        m = len(list(group))
+        count *= math.factorial(m) * _tree_aut(tree) ** m
+    return count
+
+
+@lru_cache(maxsize=None)
+def _tree_aut(tree: Tree) -> int:
+    """Order of the automorphism group of ``tree``."""
+    return _aut(tree.children)
+
+
+def _forest_aut(forest: Forest) -> int:
+    """Order of the automorphism group of ``forest``."""
+    return _aut(forest.trees)
+
+
+def _graft_candidates(a: Forest, b: Forest) -> dict:
+    """``{M: n_M}`` over the forests M obtainable by attaching each component
+    of ``a`` at some vertex of ``b`` or adding it as a new component; n_M
+    counts the ordered assignments of ``a``'s components that build M.
 
     Every M with a cut (pruned=A, root=B) arises this way: undoing the cut
     re-attaches each pruned component below its former parent in B, or
-    reinstates it as a component of M when the full cut removed it.
+    reinstates it as a component of M when the full cut removed it.  A run
+    of m equal components is grafted over multisets of targets, each
+    standing for m! / (product of its multiplicities!) ordered assignments.
     """
-    offsets = []
-    acc = 0
-    for tree in b.trees:
-        offsets.append(acc)
-        acc += tree.size
-    targets = range(-1, b.size)
-    candidates = set()
-    for assignment in itertools.product(targets, repeat=len(a.trees)):
+    # Target -1 is "new component"; vertex v of b is (component, preorder).
+    sites = [
+        (ci, v) for ci, tree in enumerate(b.trees) for v in range(tree.size)
+    ]
+    per_run = []
+    for tree, group in itertools.groupby(a.trees):
+        m = len(list(group))
+        options = []
+        for combo in itertools.combinations_with_replacement(
+            range(-1, b.size), m
+        ):
+            ways = math.factorial(m)
+            for _, same in itertools.groupby(combo):
+                ways //= math.factorial(len(list(same)))
+            options.append((tree, combo, ways))
+        per_run.append(options)
+    counts: dict = {}
+    for choice in itertools.product(*per_run):
         extras: list[dict] = [{} for _ in b.trees]
         standalone = []
-        for tree, target in zip(a.trees, assignment):
-            if target < 0:
-                standalone.append(tree)
-            else:
-                ci = bisect.bisect_right(offsets, target) - 1
-                extras[ci].setdefault(target - offsets[ci], []).append(tree)
+        n = 1
+        for tree, combo, ways in choice:
+            n *= ways
+            for target in combo:
+                if target < 0:
+                    standalone.append(tree)
+                else:
+                    ci, v = sites[target]
+                    extras[ci].setdefault(v, []).append(tree)
         components = [
             _attach(tree, 0, extra) if extra else tree
             for tree, extra in zip(b.trees, extras)
         ]
-        candidates.add(Forest(tuple(components) + tuple(standalone)))
-    return sorted(candidates, key=lambda f: f.key)
+        m = Forest(tuple(components) + tuple(standalone))
+        counts[m] = counts.get(m, 0) + n
+    return counts
 
 
 @lru_cache(maxsize=None)
 def _delta_mul(a: Forest, b: Forest) -> LinComb:
-    terms = []
-    for m in _graft_candidates(a, b):
-        count = count_cut_pairs(m, a, b)
-        if count:
-            terms.append((m, count))
-    return LinComb(terms)
+    counts = _graft_candidates(a, b)
+    scale = _forest_aut(a) * _forest_aut(b)
+    return LinComb(
+        (m, counts[m] * _forest_aut(m) // scale)
+        for m in sorted(counts, key=lambda f: f.key)
+    )
 
 
 def hall_mul(f: LinComb, g: LinComb) -> LinComb:

@@ -14,9 +14,10 @@ generators of a fixed total weight under a per-color weight assignment.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
-from .enumeration import check_size
+from .enumeration import SizeLimitError, check_size
 from .forest import EMPTY_FOREST, ParseError, add_classes, format_class, parse_class
 from .hall import hall_mul, kappa
 from .linear import LinComb
@@ -107,13 +108,53 @@ def rho(f: LinComb, limit: int | None = None) -> LinComb:
     return LinComb(out)
 
 
+# The largest smallest weight (after dividing out the gcd) for which
+# _weight_may_be_reachable builds its table of residues.
+_RESIDUE_BUDGET = 100_000
+
+
+def _weight_may_be_reachable(n: int, weights: tuple[int, ...]) -> bool:
+    """False when no class has total weight ``n`` (coin-change reachability).
+
+    After dividing out the gcd, a shortest path over the residues modulo the
+    smallest weight ``a``: ``least[r]`` becomes the smallest reachable weight
+    congruent to ``r``, and ``n`` is reachable when ``least[n % a] <= n``.
+    O(a * len(weights)) time and O(a) space, whatever ``n`` is.  When ``a``
+    is over _RESIDUE_BUDGET the table is not built and the answer is True.
+    """
+    g = math.gcd(*weights)
+    if n % g:
+        return False
+    n //= g
+    coins = sorted({w // g for w in weights})
+    a = coins[0]
+    # Schur's bound: with coprime coins a < ... < z, every amount of at
+    # least (a - 1)(z - 1) is reachable.
+    if n >= (a - 1) * (coins[-1] - 1) or a > _RESIDUE_BUDGET:
+        return True
+    least = [0] + [math.inf] * (a - 1)
+    for coin in coins[1:]:
+        step = coin % a
+        cycles = math.gcd(a, step)
+        # Adding the coin walks the residues start, start + step, ... around
+        # a cycle of length a / cycles; two rounds from any start relax it.
+        for r in range(cycles):
+            for _ in range(2 * a // cycles):
+                nxt = (r + step) % a
+                least[nxt] = min(least[nxt], least[r] + coin)
+                r = nxt
+    return least[n % a] <= n
+
+
 def js(n: int, weights, limit: int | None = None) -> LinComb:
     """Sum of the one-letter words over all classes of total weight ``n``.
 
     ``weights`` assigns a positive integer to each color; the weight of a
     class is the weighted vertex count.  ``js(0, ...)`` is the unit.  Raises
     SizeLimitError when some class of weight ``n`` has more than ``limit``
-    vertices (default 12).
+    vertices (default 12).  A weight over ``limit * max(weights)`` is also
+    refused without looking for a class when the smallest weight, after
+    dividing out the gcd, is over 100,000.
     """
     weights = tuple(int(w) for w in weights)
     if not weights:
@@ -123,9 +164,15 @@ def js(n: int, weights, limit: int | None = None) -> LinComb:
     if n < 0:
         raise ValueError("weight must be non-negative")
     # A class of weight n has at least n / max(weights) vertices; refusing
-    # on that bound first keeps the enumeration below small.
+    # on that bound first keeps the enumeration below small.  A weight that
+    # no class has is not refused: js is then zero.
     fewest = -(-n // max(weights))
-    check_size(f"the smallest class of weight {n}", fewest, limit)
+    try:
+        check_size(f"the smallest class of weight {n}", fewest, limit)
+    except SizeLimitError:
+        if _weight_may_be_reachable(n, weights):
+            raise
+        return LinComb()
     terms = []
     for alpha in itertools.product(*(range(n // w + 1) for w in weights)):
         if sum(a * w for a, w in zip(alpha, weights)) == n:

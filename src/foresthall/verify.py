@@ -6,9 +6,10 @@ term by term with exact rationals, and reports any counterexample in full.
 Instances are enumerated smallest first, so the first failure in a report is
 a minimal one.
 
-The hall-oracle suite is the designated cross-check of the product: it
-recomputes every structure constant from the forest generator plus the raw
-cut census, bypassing the grafting candidate step used by the algebra.
+The hall-oracle suite is the designated cross-check of the product and the
+cut census's only reader: it recomputes every structure constant from the
+forest generator plus the raw cut census, while the algebra counts graft
+assignments and automorphisms and never lists a cut.
 """
 
 from __future__ import annotations

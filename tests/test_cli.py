@@ -321,8 +321,21 @@ def test_qsym_size_guard(capsys, argv, total):
             ["rhojs", "--n", "4", "--weights", "a=2", "--max-vertices", "3"],
             "1 a+a\n1 a[a]\n",
         ),
+        # no class has these weights, so js is zero and nothing is over the
+        # limit; both answer at once, without enumerating classes
+        (["js", "--n", "25", "--weights", "a=2"], "0\n"),
+        (["rhojs", "--n", "1000001", "--weights", "a=2,b=4"], "0\n"),
+        # the largest weight no class has (Frobenius number of 1000, 1000001)
+        (["js", "--n", "998999999", "--weights", "a=1000,b=1000001"], "0\n"),
     ],
-    ids=["js-14", "js-4-limit-3", "rhojs-4-limit-3"],
+    ids=[
+        "js-14",
+        "js-4-limit-3",
+        "rhojs-4-limit-3",
+        "js-25-no-class",
+        "rhojs-odd-no-class",
+        "js-frobenius-no-class",
+    ],
 )
 def test_js_guard_counts_vertices_not_weight(capsys, argv, out):
     assert _run(capsys, "nsym", *argv) == (0, out, "")
@@ -336,8 +349,12 @@ def test_js_guard_counts_vertices_not_weight(capsys, argv, out):
             "the smallest class of weight 26 has 13 vertices",
         ),
         (["--n", "13", "--weights", "a=1,b=2"], "class (13,0) has 13 vertices"),
+        (
+            ["--n", "13000013", "--weights", "a=1000,b=1000001"],
+            "the smallest class of weight 13000013 has 13 vertices",
+        ),
     ],
-    ids=["early", "exact"],
+    ids=["early", "exact", "early-large-weights"],
 )
 def test_js_size_guard(capsys, argv, message):
     code, out, err = _run(capsys, "nsym", "js", *argv)

@@ -1,5 +1,6 @@
 """Hall algebra structure constants, coproduct, antipode, and the dual ops."""
 
+import itertools
 from collections import Counter
 from fractions import Fraction
 
@@ -17,6 +18,9 @@ from foresthall.forest import (
     parse_forest,
 )
 from foresthall.hall import (
+    _delta_mul,
+    _forest_aut,
+    _tree_aut,
     antipode,
     ck_comul,
     ck_mul,
@@ -75,13 +79,64 @@ def test_product_with_unit():
         assert hall_mul(delta(forest), unit) == delta(forest)
 
 
+# (colors, max vertices of A + B) for the exhaustive cross-check.
+PRODUCT_UNIVERSES = ((1, 7), (2, 5), (3, 4))
+
+
+def _forests_upto(ncolors, max_vertices):
+    return [
+        f
+        for total in range(max_vertices + 1)
+        for alpha in itertools.product(range(total + 1), repeat=ncolors)
+        if sum(alpha) == total
+        for f in forests_of_class(alpha)
+    ]
+
+
 def test_product_coefficients_are_cut_counts():
-    for a in _universe(2):
-        for b in _universe(2):
-            prod = hall_mul(delta(a), delta(b))
-            gamma = add_classes(k0_class(a, 2), k0_class(b, 2))
-            for m in forests_of_class(gamma):
-                assert prod.coeff(m) == count_cut_pairs(m, a, b)
+    # The product reads coefficients off graft multiplicities and
+    # automorphism counts; the census counts the cuts of every M directly,
+    # on every pair of the universes above.
+    pairs = 0
+    for ncolors, bound in PRODUCT_UNIVERSES:
+        universe = _forests_upto(ncolors, bound)
+        for a in universe:
+            for b in universe:
+                if a.size + b.size > bound:
+                    continue
+                gamma = add_classes(k0_class(a, ncolors), k0_class(b, ncolors))
+                census = LinComb(
+                    (m, count_cut_pairs(m, a, b))
+                    for m in forests_of_class(gamma)
+                )
+                assert _delta_mul(a, b) == census, (a, b)
+                pairs += 1
+    assert pairs == 4975
+
+
+@pytest.mark.parametrize(
+    "text, count",
+    [
+        ("a[a,a]", 2),
+        ("a+a", 2),
+        ("a[a[a],a[a]]", 2),
+        ("a[a,b]", 1),
+        ("a[b,b]+a[b,b]", 8),
+        ("0", 1),
+    ],
+)
+def test_automorphism_counts(text, count):
+    forest = _f(text)
+    assert _forest_aut(forest) == count
+    if len(forest.trees) == 1:
+        assert _tree_aut(forest.trees[0]) == count
+
+
+def test_graft_multiplicities_are_rescaled_by_automorphisms():
+    # Raw assignment counts here are 1, 1 and 2: the two leaves of a[a,a]
+    # are one orbit, and a[a,a,a] has three cuts with pruned part a.
+    prod = hall_mul(delta(_f("a")), delta(_f("a[a,a]")))
+    assert _named(prod) == {"a+a[a,a]": 1, "a[a,a,a]": 3, "a[a,a[a]]": 1}
 
 
 def test_product_is_bilinear():

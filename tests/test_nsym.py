@@ -16,6 +16,7 @@ from foresthall.forest import (
 from foresthall.hall import counit, delta, hall_mul, kappa
 from foresthall.linear import LinComb, tensor
 from foresthall.nsym import (
+    _weight_may_be_reachable,
     format_word,
     js,
     nsym_comul,
@@ -199,6 +200,31 @@ def test_js_limit_counts_vertices_not_weight():
     with pytest.raises(SizeLimitError):
         js(13, (1, 2))
     assert rho_js(14, (2,)) == rho(LinComb.basis(((7,),)))
+
+
+def test_weight_reachability_matches_a_table():
+    for k in (1, 2, 3):
+        for weights in itertools.combinations_with_replacement(range(1, 12), k):
+            reachable = {0}
+            for n in range(1, 61):
+                if any(n - w in reachable for w in weights):
+                    reachable.add(n)
+                assert _weight_may_be_reachable(n, weights) == (n in reachable), (
+                    n,
+                    weights,
+                )
+
+
+def test_js_of_large_weights_no_class_has():
+    # 998999999 is the largest weight that 1000 and 1000001 cannot make
+    assert js(998999999, (1000, 1000001)) == LinComb()
+    assert js(1000001, (2, 4)) == LinComb()
+    for n in (999000000, 13000012):
+        with pytest.raises(SizeLimitError):
+            js(n, (1000, 1000001))
+    # weights too large for the table of residues are refused unchecked
+    with pytest.raises(SizeLimitError):
+        js(14 * 10**9 + 7, (10**9, 10**9 + 1, 10**9 + 2))
 
 
 def test_comul_of_js_splits_the_weight():
