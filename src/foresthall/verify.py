@@ -4,7 +4,9 @@ Every suite enumerates its instances in a fixed order (total vertex count
 first, then canonical serialization), compares both sides of an identity
 term by term with exact rationals, and reports any counterexample in full.
 Instances are enumerated smallest first, so the first failure in a report is
-a minimal one.
+a minimal one.  Each side of an identity is built once per run (a forest's
+coproduct, antipode or rho_t image, a class's rho images, the adjoint of
+the word coproduct), and an instance is named only when its check fails.
 
 The hall-oracle suite is the designated cross-check of the product and the
 cut census's only reader: it recomputes every structure constant from the
@@ -82,23 +84,24 @@ def _fmt_terms(elem: LinComb, fmt_key) -> dict:
     }
 
 
-def _check(report, instance, lhs: LinComb, rhs: LinComb, fmt_key) -> None:
+def _check(report, name, lhs: LinComb, rhs: LinComb, fmt_key) -> None:
+    """Count one check; ``name()`` gives the instance's name on failure."""
     report["checked"] += 1
     if lhs != rhs:
         report["failures"].append(
             {
-                "instance": instance,
+                "instance": name(),
                 "lhs": _fmt_terms(lhs, fmt_key),
                 "rhs": _fmt_terms(rhs, fmt_key),
             }
         )
 
 
-def _check_scalar(report, instance, lhs, rhs) -> None:
+def _check_scalar(report, name, lhs, rhs) -> None:
     report["checked"] += 1
     if lhs != rhs:
         report["failures"].append(
-            {"instance": instance, "lhs": str(lhs), "rhs": str(rhs)}
+            {"instance": name(), "lhs": str(lhs), "rhs": str(rhs)}
         )
 
 
@@ -106,13 +109,7 @@ def _fmt_forest(colors):
     return lambda f: format_forest(f, colors)
 
 
-def _fmt_forest_pair(colors):
-    return lambda p: (
-        f"{format_forest(p[0], colors)} (x) {format_forest(p[1], colors)}"
-    )
-
-
-def _fmt_forest_triple(colors):
+def _fmt_forest_tensor(colors):
     return lambda t: " (x) ".join(format_forest(f, colors) for f in t)
 
 
@@ -142,10 +139,10 @@ def _suite_theorem1(colors, bound, weights) -> dict:
         rhs = LinComb(terms)
         _check(
             report,
-            f"gamma={format_class(gamma)}",
+            lambda: f"gamma={format_class(gamma)}",
             lhs,
             rhs,
-            _fmt_forest_pair(colors),
+            _fmt_forest_tensor(colors),
         )
     return report
 
@@ -158,20 +155,25 @@ def _suite_theorem2(colors, bound, weights) -> dict:
     report = _new_report("theorem2", colors, bound)
     for gamma in _classes_upto(nc, bound):
         words = _words_of_degree(gamma)
-        products = {
-            w: nsym.rho(LinComb.basis(w), limit=bound) for w in words
-        }
+        # columns[A][w] is the coefficient of delta_A in rho(word w)
+        columns: dict = {}
+        for w in words:
+            for a, c in nsym.rho(LinComb.basis(w), limit=bound).terms.items():
+                columns.setdefault(a, {})[w] = c
         for a in enumeration.forests_of_class(gamma, limit=bound):
-            expansion = qsym.rho_t(a, nc, limit=bound)
+            expansion = qsym.rho_t(a, nc, limit=bound).terms
+            column = columns.get(a, {})
+            # equal dicts pass every word; otherwise each word is one check
+            if expansion == column:
+                report["checked"] += len(words)
+                continue
             for w in words:
-                lhs = qsym.pair(expansion, LinComb.basis(w))
-                rhs = products[w].coeff(a)
                 _check_scalar(
                     report,
-                    f"A={format_forest(a, colors)} "
+                    lambda: f"A={format_forest(a, colors)} "
                     f"word={nsym.format_word(w)}",
-                    lhs,
-                    rhs,
+                    expansion.get(w, 0),
+                    column.get(w, 0),
                 )
     return report
 
@@ -190,7 +192,7 @@ def _suite_js_split(colors, bound, weights) -> dict:
             )
             terms.extend(split.terms.items())
         rhs = LinComb(terms)
-        _check(report, f"n={n} weights={ws}", lhs, rhs, _fmt_word_pair)
+        _check(report, lambda: f"n={n} weights={ws}", lhs, rhs, _fmt_word_pair)
     return report
 
 
@@ -211,13 +213,7 @@ def _suite_hall_oracle(colors, bound, weights) -> dict:
                 (m, cuts.count_cut_pairs(m, a, b))
                 for m in enumeration.forests_of_class(gamma, limit=bound)
             )
-            _check(
-                report,
-                f"A={format_forest(a, colors)} B={format_forest(b, colors)}",
-                lhs,
-                rhs,
-                fmt,
-            )
+            _check(report, lambda: f"A={fmt(a)} B={fmt(b)}", lhs, rhs, fmt)
     return report
 
 
@@ -229,7 +225,7 @@ def _suite_counts(colors, bound, weights) -> dict:
         generated = len(enumeration.forests_of_class(alpha, limit=bound))
         counted = enumeration.count_forests_of_class(alpha, limit=bound)
         _check_scalar(
-            report, f"alpha={format_class(alpha)}", generated, counted
+            report, lambda: f"alpha={format_class(alpha)}", generated, counted
         )
     return report
 
@@ -241,99 +237,114 @@ def _suite_hopf_axioms(colors, bound, weights) -> dict:
     report = _new_report("hopf-axioms", colors, bound)
     universe = _forests_upto(nc, bound)
     fmt = _fmt_forest(colors)
-    fmt_pair = _fmt_forest_pair(colors)
-    fmt_triple = _fmt_forest_triple(colors)
+    fmt_tensor = _fmt_forest_tensor(colors)
     empty = LinComb.basis(Forest())
+    delta = {f: hall.delta(f) for f in universe}
+    comul = {f: hall.hall_comul(delta[f]) for f in universe}
+    antipode = {f: hall.antipode(delta[f], limit=bound) for f in universe}
 
     def delta_mul(x, y):
-        return hall.hall_mul(hall.delta(x), hall.delta(y))
+        return hall.hall_mul(delta[x], delta[y])
 
     for a in universe:
-        da = hall.delta(a)
-        name = format_forest(a, colors)
-        comul = hall.hall_comul(da)
+        da, split = delta[a], comul[a]
 
         # unit laws
-        _check(report, f"unit-left A={name}", hall.hall_mul(empty, da), da, fmt)
         _check(
-            report, f"unit-right A={name}", hall.hall_mul(da, empty), da, fmt
+            report,
+            lambda: f"unit-left A={fmt(a)}",
+            hall.hall_mul(empty, da),
+            da,
+            fmt,
+        )
+        _check(
+            report,
+            lambda: f"unit-right A={fmt(a)}",
+            hall.hall_mul(da, empty),
+            da,
+            fmt,
         )
 
         # coassociativity
         left_terms, right_terms = [], []
-        for (x, y), c in comul.terms.items():
-            for (u, v), d in hall.hall_comul(hall.delta(x)).terms.items():
+        for (x, y), c in split.terms.items():
+            for (u, v), d in comul[x].terms.items():
                 left_terms.append(((u, v, y), c * d))
-            for (u, v), d in hall.hall_comul(hall.delta(y)).terms.items():
+            for (u, v), d in comul[y].terms.items():
                 right_terms.append(((x, u, v), c * d))
         _check(
             report,
-            f"coassoc A={name}",
+            lambda: f"coassoc A={fmt(a)}",
             LinComb(left_terms),
             LinComb(right_terms),
-            fmt_triple,
+            fmt_tensor,
         )
 
         # co-commutativity
-        flipped = LinComb(((y, x), c) for (x, y), c in comul.terms.items())
-        _check(report, f"cocomm A={name}", comul, flipped, fmt_pair)
+        flipped = LinComb(((y, x), c) for (x, y), c in split.terms.items())
+        _check(
+            report, lambda: f"cocomm A={fmt(a)}", split, flipped, fmt_tensor
+        )
 
         # counit laws
         left_counit = LinComb(
-            (y, c * hall.counit(hall.delta(x)))
-            for (x, y), c in comul.terms.items()
+            (y, c * hall.counit(delta[x])) for (x, y), c in split.terms.items()
         )
         right_counit = LinComb(
-            (x, c * hall.counit(hall.delta(y)))
-            for (x, y), c in comul.terms.items()
+            (x, c * hall.counit(delta[y])) for (x, y), c in split.terms.items()
         )
-        _check(report, f"counit-left A={name}", left_counit, da, fmt)
-        _check(report, f"counit-right A={name}", right_counit, da, fmt)
+        _check(report, lambda: f"counit-left A={fmt(a)}", left_counit, da, fmt)
+        _check(
+            report, lambda: f"counit-right A={fmt(a)}", right_counit, da, fmt
+        )
 
         # antipode: m(S (x) id)Delta = unit . counit = m(id (x) S)Delta
         eps_side = hall.counit(da) * empty
         s_left, s_right = [], []
-        for (x, y), c in comul.terms.items():
-            left = hall.hall_mul(
-                hall.antipode(hall.delta(x), limit=bound), hall.delta(y)
-            )
-            right = hall.hall_mul(
-                hall.delta(x), hall.antipode(hall.delta(y), limit=bound)
-            )
+        for (x, y), c in split.terms.items():
+            left = hall.hall_mul(antipode[x], delta[y])
+            right = hall.hall_mul(delta[x], antipode[y])
             s_left.extend((k, c * v) for k, v in left.terms.items())
             s_right.extend((k, c * v) for k, v in right.terms.items())
         _check(
-            report, f"antipode-left A={name}", LinComb(s_left), eps_side, fmt
+            report,
+            lambda: f"antipode-left A={fmt(a)}",
+            LinComb(s_left),
+            eps_side,
+            fmt,
         )
         _check(
-            report, f"antipode-right A={name}", LinComb(s_right), eps_side, fmt
+            report,
+            lambda: f"antipode-right A={fmt(a)}",
+            LinComb(s_right),
+            eps_side,
+            fmt,
         )
 
     for a in universe:
         for b in universe:
             if a.size + b.size > bound:
                 continue
-            da, db = hall.delta(a), hall.delta(b)
-            pair_name = (
-                f"A={format_forest(a, colors)} B={format_forest(b, colors)}"
-            )
+            da, db = delta[a], delta[b]
+            ab = hall.hall_mul(da, db)
 
             # bialgebra compatibility
-            lhs = hall.hall_comul(hall.hall_mul(da, db))
-            rhs = tensor_mul(
-                hall.hall_comul(da), hall.hall_comul(db), delta_mul, delta_mul
+            _check(
+                report,
+                lambda: f"compat A={fmt(a)} B={fmt(b)}",
+                hall.hall_comul(ab),
+                tensor_mul(comul[a], comul[b], delta_mul, delta_mul),
+                fmt_tensor,
             )
-            _check(report, f"compat {pair_name}", lhs, rhs, fmt_pair)
 
             for c3 in universe:
                 if a.size + b.size + c3.size > bound:
                     continue
-                dc = hall.delta(c3)
                 _check(
                     report,
-                    f"assoc {pair_name} C={format_forest(c3, colors)}",
-                    hall.hall_mul(hall.hall_mul(da, db), dc),
-                    hall.hall_mul(da, hall.hall_mul(db, dc)),
+                    lambda: f"assoc A={fmt(a)} B={fmt(b)} C={fmt(c3)}",
+                    hall.hall_mul(ab, delta[c3]),
+                    hall.hall_mul(da, hall.hall_mul(db, delta[c3])),
                     fmt,
                 )
     return report
@@ -352,28 +363,23 @@ def _suite_dual_pair(colors, bound, weights) -> dict:
         ]
         for total in range(bound + 1)
     ]
+    # adjoint[(a, b)] lists (v, coefficient of a (x) b in comul v)
+    adjoint: dict = {}
+    for comps in comps_by_total:
+        for v in comps:
+            for ab, c in nsym.nsym_comul(LinComb.basis(v)).terms.items():
+                adjoint.setdefault(ab, []).append((v, c))
 
     for ta in range(bound + 1):
         for tb in range(bound + 1 - ta):
             for a in comps_by_total[ta]:
                 for b in comps_by_total[tb]:
-                    prod = qsym.quasi_shuffle(
-                        LinComb.basis(a), LinComb.basis(b)
-                    )
-                    gamma = add_classes(
-                        qsym.composition_degree(a, nc),
-                        qsym.composition_degree(b, nc),
-                    )
-                    adjoint = LinComb(
-                        (v, nsym.nsym_comul(LinComb.basis(v)).coeff((a, b)))
-                        for v in _words_of_degree(gamma)
-                    )
                     _check(
                         report,
-                        f"mul-adjoint a={qsym.format_composition(a)} "
+                        lambda: f"mul-adjoint a={qsym.format_composition(a)} "
                         f"b={qsym.format_composition(b)}",
-                        prod,
-                        adjoint,
+                        qsym.quasi_shuffle(LinComb.basis(a), LinComb.basis(b)),
+                        LinComb(adjoint.get((a, b), ())),
                         qsym.format_composition,
                     )
 
@@ -389,7 +395,7 @@ def _suite_dual_pair(colors, bound, weights) -> dict:
                     rhs_terms.append(((v, w), 1))
             _check(
                 report,
-                f"comul-adjoint a={qsym.format_composition(a)}",
+                lambda: f"comul-adjoint a={qsym.format_composition(a)}",
                 lhs,
                 LinComb(rhs_terms),
                 _fmt_comp_pair,
@@ -403,37 +409,29 @@ def _suite_rhot_hom(colors, bound, weights) -> dict:
     nc = len(colors)
     report = _new_report("rhot-hom", colors, bound)
     universe = _forests_upto(nc, bound)
+    fmt = _fmt_forest(colors)
+    image = {f: qsym.rho_t(f, nc, limit=bound) for f in universe}
 
     for a in universe:
         for b in universe:
             if a.size + b.size > bound:
                 continue
-            lhs = qsym.rho_t(hall.ck_mul(a, b), nc, limit=bound)
-            rhs = qsym.quasi_shuffle(
-                qsym.rho_t(a, nc, limit=bound), qsym.rho_t(b, nc, limit=bound)
-            )
             _check(
                 report,
-                f"mul A={format_forest(a, colors)} "
-                f"B={format_forest(b, colors)}",
-                lhs,
-                rhs,
+                lambda: f"mul A={fmt(a)} B={fmt(b)}",
+                image[hall.ck_mul(a, b)],
+                qsym.quasi_shuffle(image[a], image[b]),
                 qsym.format_composition,
             )
 
     for a in universe:
-        lhs = qsym.deconcat(qsym.rho_t(a, nc, limit=bound))
         terms = []
         for pruned, root in hall.ck_comul(a):
-            split = tensor(
-                qsym.rho_t(pruned, nc, limit=bound),
-                qsym.rho_t(root, nc, limit=bound),
-            )
-            terms.extend(split.terms.items())
+            terms.extend(tensor(image[pruned], image[root]).terms.items())
         _check(
             report,
-            f"comul A={format_forest(a, colors)}",
-            lhs,
+            lambda: f"comul A={fmt(a)}",
+            qsym.deconcat(image[a]),
             LinComb(terms),
             _fmt_comp_pair,
         )

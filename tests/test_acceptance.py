@@ -36,11 +36,12 @@ def _criterion(name, budget_s, fn):
     assert in_time, f"{name} took {elapsed:.2f}s, budget {budget_s:g}s"
 
 
-def _cli(*argv):
+def _cli(env, *argv):
     result = subprocess.run(
         [sys.executable, "-m", "foresthall.cli", *argv],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert result.returncode == 0, result.stderr
     return result.stdout
@@ -51,9 +52,10 @@ def _no_failures(report):
     assert report["failures"] == [], report["failures"][:3]
 
 
-def test_criterion_1_kappa_mixed_class_cli():
+def test_criterion_1_kappa_mixed_class_cli(package_env):
     def check():
         out = _cli(
+            package_env,
             "hall", "kappa", "--class", "(1,1)", "--colors", "a,b", "--json"
         )
         payload = json.loads(out)
@@ -79,9 +81,10 @@ def test_criterion_2_quasi_shuffle_worked_example():
     _criterion("2 quasi-shuffle example", 1.0, check)
 
 
-def test_criterion_3_flag_expansion_cli():
+def test_criterion_3_flag_expansion_cli(package_env):
     def check():
         out = _cli(
+            package_env,
             "qsym", "rhot", "--forest", "a[b,a]", "--colors", "a,b", "--json"
         )
         payload = json.loads(out)

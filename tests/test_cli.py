@@ -199,7 +199,8 @@ FLAG_GOLDEN = [
     ("rhot", ["qsym", "rhot", "--forest", "a[b[a],b]+a", "--colors", "a,b"]),
 ]
 
-# One case for each leaf command that FLAG_GOLDEN does not cover.
+# One case for each leaf command that FLAG_GOLDEN does not cover, and a
+# second one for verify all.
 LEAF_GOLDEN = [
     (
         "forest_normalize",
@@ -224,6 +225,11 @@ LEAF_GOLDEN = [
         ["qsym", "deconcat", "Z[(1,0),(0,1),(2,0)]", "--colors", "a,b"],
     ),
     ("verify_all", ["verify", "all", "--colors", "a,b", "--max-vertices", "2"]),
+    # the benchmark's verify-all bound, which pins every suite's checked count
+    (
+        "verify_all_4",
+        ["verify", "all", "--colors", "a,b", "--max-vertices", "4"],
+    ),
 ]
 
 
@@ -444,7 +450,7 @@ def test_usage_errors_exit_two():
 
 
 @pytest.mark.parametrize("module", ["foresthall.cli", "foresthall"])
-def test_module_entry_point(module):
+def test_module_entry_point(module, package_env):
     result = subprocess.run(
         [
             sys.executable,
@@ -458,6 +464,7 @@ def test_module_entry_point(module):
         ],
         capture_output=True,
         text=True,
+        env=package_env,
     )
     assert result.returncode == 0
     assert result.stdout == "a+b\n"

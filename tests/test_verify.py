@@ -1,8 +1,15 @@
 """The executable identity suites and their reporting."""
 
+import json
+import pathlib
+
 import pytest
 
+import foresthall
+import foresthall.enumeration
 import foresthall.hall
+import foresthall.nsym
+import foresthall.qsym
 from foresthall.forest import ColorTable
 from foresthall.linear import LinComb
 from foresthall.verify import SUITE_NAMES, run_all, run_suite
@@ -89,3 +96,90 @@ def test_failures_are_reported(monkeypatch):
     assert first["rhs"]
     # smallest failing instance comes first
     assert first["instance"] == "A=0 B=0"
+
+
+def _drop_last_term(original):
+    """``original`` with the last term dropped from every result that has
+    two or more terms."""
+
+    def broken(*args):
+        terms = list(original(*args).terms.items())
+        return LinComb(terms[:-1] if len(terms) > 1 else terms)
+
+    return broken
+
+
+def _bump_two_part_flags(original):
+    """``flag_counts`` with every two-part flag of a three-vertex forest
+    counted once more."""
+    return lambda forest, ncolors: {
+        flag: n + (len(flag) == 2 and forest.size == 3)
+        for flag, n in original(forest, ncolors).items()
+    }
+
+
+def _miscount_two_vertices(original):
+    """``count_forests_of_class`` off by one on every class of two vertices."""
+    return lambda alpha, limit=None: original(alpha, limit) + (sum(alpha) == 2)
+
+
+# The faults injected per suite, as (module, attribute, fault) patches.  They
+# make checks of every kind fail except hopf-axioms' unit and left counit
+# laws, so the golden reports pin the instance names of the other kinds.
+FAULTS = {
+    "theorem1": [(foresthall.hall, "_delta_comul", _drop_last_term)],
+    "theorem2": [(foresthall.qsym, "flag_counts", _bump_two_part_flags)],
+    "js-split": [(foresthall.nsym, "_word_comul", _drop_last_term)],
+    "hall-oracle": [(foresthall.hall, "_delta_mul", _drop_last_term)],
+    "counts": [
+        (
+            foresthall.enumeration,
+            "count_forests_of_class",
+            _miscount_two_vertices,
+        )
+    ],
+    "hopf-axioms": [
+        (foresthall.hall, "_delta_mul", _drop_last_term),
+        (foresthall.hall, "_delta_comul", _drop_last_term),
+    ],
+    "dual-pair": [
+        (foresthall.nsym, "_word_comul", _drop_last_term),
+        (foresthall.qsym, "deconcat", _drop_last_term),
+    ],
+    "rhot-hom": [
+        (foresthall.qsym, "_shuffle_pair", _drop_last_term),
+        (foresthall.qsym, "flag_counts", _bump_two_part_flags),
+    ],
+}
+
+GOLDEN_FAILURES = (
+    pathlib.Path(__file__).parent / "golden" / "verify_failures.json"
+)
+
+
+def _faulty_report(suite, monkeypatch):
+    """The report of ``suite`` (2 colors, bound 3) under its faults, between
+    cold memos."""
+    foresthall.clear_caches()
+    try:
+        with monkeypatch.context() as patch:
+            for module, attr, fault in FAULTS[suite]:
+                patch.setattr(module, attr, fault(getattr(module, attr)))
+            return run_suite(suite, AB, 3)
+    finally:
+        # after the patches are undone, so memos that cached faulty results
+        # (such as the recursion of _shuffle_pair) are emptied too
+        foresthall.clear_caches()
+
+
+def test_every_suite_has_a_fault():
+    assert list(FAULTS) == list(SUITE_NAMES)
+
+
+@pytest.mark.parametrize("suite", FAULTS)
+def test_failure_reports_match_golden(monkeypatch, suite):
+    # every failing instance, its name and both sides, in report order
+    report = _faulty_report(suite, monkeypatch)
+    golden = json.loads(GOLDEN_FAILURES.read_text())[suite]
+    assert report["failures"]
+    assert json.dumps(report) == json.dumps(golden)
