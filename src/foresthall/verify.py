@@ -163,10 +163,6 @@ def _suite_theorem2(colors, bound, weights) -> dict:
         for a in enumeration.forests_of_class(gamma, limit=bound):
             expansion = qsym.rho_t(a, nc, limit=bound).terms
             column = columns.get(a, {})
-            # equal dicts pass every word; otherwise each word is one check
-            if expansion == column:
-                report["checked"] += len(words)
-                continue
             for w in words:
                 _check_scalar(
                     report,
@@ -239,15 +235,14 @@ def _suite_hopf_axioms(colors, bound, weights) -> dict:
     fmt = _fmt_forest(colors)
     fmt_tensor = _fmt_forest_tensor(colors)
     empty = LinComb.basis(Forest())
-    delta = {f: hall.delta(f) for f in universe}
-    comul = {f: hall.hall_comul(delta[f]) for f in universe}
-    antipode = {f: hall.antipode(delta[f], limit=bound) for f in universe}
+    comul = {f: hall.hall_comul(hall.delta(f)) for f in universe}
+    antipode = {f: hall.antipode(hall.delta(f), limit=bound) for f in universe}
 
     def delta_mul(x, y):
-        return hall.hall_mul(delta[x], delta[y])
+        return hall.hall_mul(hall.delta(x), hall.delta(y))
 
     for a in universe:
-        da, split = delta[a], comul[a]
+        da, split = hall.delta(a), comul[a]
 
         # unit laws
         _check(
@@ -288,10 +283,12 @@ def _suite_hopf_axioms(colors, bound, weights) -> dict:
 
         # counit laws
         left_counit = LinComb(
-            (y, c * hall.counit(delta[x])) for (x, y), c in split.terms.items()
+            (y, c * hall.counit(hall.delta(x)))
+            for (x, y), c in split.terms.items()
         )
         right_counit = LinComb(
-            (x, c * hall.counit(delta[y])) for (x, y), c in split.terms.items()
+            (x, c * hall.counit(hall.delta(y)))
+            for (x, y), c in split.terms.items()
         )
         _check(report, lambda: f"counit-left A={fmt(a)}", left_counit, da, fmt)
         _check(
@@ -302,8 +299,8 @@ def _suite_hopf_axioms(colors, bound, weights) -> dict:
         eps_side = hall.counit(da) * empty
         s_left, s_right = [], []
         for (x, y), c in split.terms.items():
-            left = hall.hall_mul(antipode[x], delta[y])
-            right = hall.hall_mul(delta[x], antipode[y])
+            left = hall.hall_mul(antipode[x], hall.delta(y))
+            right = hall.hall_mul(hall.delta(x), antipode[y])
             s_left.extend((k, c * v) for k, v in left.terms.items())
             s_right.extend((k, c * v) for k, v in right.terms.items())
         _check(
@@ -325,7 +322,7 @@ def _suite_hopf_axioms(colors, bound, weights) -> dict:
         for b in universe:
             if a.size + b.size > bound:
                 continue
-            da, db = delta[a], delta[b]
+            da, db = hall.delta(a), hall.delta(b)
             ab = hall.hall_mul(da, db)
 
             # bialgebra compatibility
@@ -343,8 +340,8 @@ def _suite_hopf_axioms(colors, bound, weights) -> dict:
                 _check(
                     report,
                     lambda: f"assoc A={fmt(a)} B={fmt(b)} C={fmt(c3)}",
-                    hall.hall_mul(ab, delta[c3]),
-                    hall.hall_mul(da, hall.hall_mul(db, delta[c3])),
+                    hall.hall_mul(ab, hall.delta(c3)),
+                    hall.hall_mul(da, hall.hall_mul(db, hall.delta(c3))),
                     fmt,
                 )
     return report
