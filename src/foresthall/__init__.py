@@ -26,11 +26,15 @@ _MODULES = (cuts, enumeration, forest, hall, linear, nsym, qsym, verify)
 
 
 def clear_caches() -> None:
-    """Empty every memo of the package's modules, releasing what it holds.
+    """Empty every memo of the package's modules and the intern tables of
+    trees and forests, releasing what they hold.
 
-    The memos are unbounded, so a long session grows until this is called.
-    Results are unchanged afterwards; they are only recomputed.
+    The memos and tables are unbounded, so a long session grows until this
+    is called.  Results are unchanged afterwards; they are only recomputed,
+    and forests built before compare equal to those built after.
     """
+    forest._TREES.clear()
+    forest._FORESTS.clear()
     for module in _MODULES:
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):

@@ -1,14 +1,25 @@
 """Canonical colored rooted forests.
 
-Trees and forests are immutable and canonical by construction: children and
-forest components are kept sorted under a fixed total order (color id first,
-then child lists, compared recursively), so two colored rooted forests are
-isomorphic exactly when they compare equal.  Everything downstream indexes
-its linear algebra by these canonical representatives.
+Trees and forests are immutable and hash-consed: constructing one returns
+the single object of its isomorphism class, found in an intern table keyed
+by the color and child objects of a tree, or by the sorted components of a
+forest.  So two colored rooted forests are isomorphic exactly when they are
+the same object, and everything downstream indexes its linear algebra by
+these canonical representatives.  ``key`` (color id first, then child
+lists, compared recursively) only fixes the total order in which children,
+components and output are sorted.  Objects built before the tables are
+emptied by ``foresthall.clear_caches()`` still compare and hash equal to
+those built after.
+
+Each object also carries its automorphism count ``aut``, computed once
+when the class is first met.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+import operator
 import re
 
 __all__ = [
@@ -79,28 +90,61 @@ class ColorTable:
         return f"ColorTable({','.join(self.names)})"
 
 
+# The intern tables grow with a session; ``foresthall.clear_caches()``
+# empties them.
+_TREES: dict = {}
+_FORESTS: dict = {}
+_KEY = operator.attrgetter("key")
+
+
+def _aut(parts) -> int:
+    """Automorphisms of a sorted run of trees: equal ones are adjacent, and
+    a run of m equal trees contributes m! times the m-th power of theirs."""
+    count = 1
+    for part, group in itertools.groupby(parts):
+        m = len(list(group))
+        count *= math.factorial(m) * part.aut**m
+    return count
+
+
 class Tree:
     """One colored rooted tree, children canonically sorted at construction.
 
-    ``key`` is the nested tuple (color, child keys); two trees are isomorphic
-    exactly when their keys are equal, and tuple comparison of keys gives the
-    total order used everywhere for sorting.
+    ``Tree(color, children)`` returns the one object of its isomorphism
+    class.  ``key`` is the nested tuple (color, child keys); tuple
+    comparison of keys gives the total order used everywhere for sorting.
+    ``aut`` is the order of the tree's automorphism group.
     """
 
-    __slots__ = ("color", "children", "key", "size", "_hash")
+    __slots__ = ("color", "children", "key", "size", "aut", "_hash")
 
-    def __init__(self, color: int, children=()):
-        if color < 0:
-            raise ValueError("color ids are non-negative")
-        kids = sorted(children, key=lambda t: t.key)
-        self.color = color
-        self.children = tuple(kids)
-        self.key = (color, tuple(t.key for t in kids))
-        self.size = 1 + sum(t.size for t in kids)
-        self._hash = hash(self.key)
+    def __new__(cls, color: int, children=()):
+        kids = tuple(sorted(children, key=_KEY))
+        ident = (color, kids)
+        tree = _TREES.get(ident)
+        if tree is None:
+            if color < 0:
+                raise ValueError("color ids are non-negative")
+            tree = object.__new__(cls)
+            tree.color = color
+            tree.children = kids
+            tree.key = (color, tuple(t.key for t in kids))
+            tree.size = 1 + sum(t.size for t in kids)
+            tree.aut = _aut(kids)
+            tree._hash = hash(ident)
+            _TREES[ident] = tree
+        return tree
+
+    def __reduce__(self):
+        return Tree, (self.color, self.children)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Tree) and self.key == other.key
+        # Trees built before the tables were emptied are other objects.
+        return self is other or (
+            isinstance(other, Tree)
+            and self._hash == other._hash
+            and self.key == other.key
+        )
 
     def __hash__(self) -> int:
         return self._hash
@@ -118,19 +162,36 @@ class Tree:
 
 
 class Forest:
-    """A multiset of trees, stored sorted; ``Forest()`` is the empty forest."""
+    """A multiset of trees, stored sorted; ``Forest()`` is the empty forest.
 
-    __slots__ = ("trees", "key", "size", "_hash")
+    Interned like :class:`Tree`; ``aut`` is the order of the automorphism
+    group.
+    """
 
-    def __init__(self, trees=()):
-        ts = sorted(trees, key=lambda t: t.key)
-        self.trees = tuple(ts)
-        self.key = tuple(t.key for t in ts)
-        self.size = sum(t.size for t in ts)
-        self._hash = hash(self.key)
+    __slots__ = ("trees", "key", "size", "aut", "_hash")
+
+    def __new__(cls, trees=()):
+        ts = tuple(sorted(trees, key=_KEY))
+        forest = _FORESTS.get(ts)
+        if forest is None:
+            forest = object.__new__(cls)
+            forest.trees = ts
+            forest.key = tuple(t.key for t in ts)
+            forest.size = sum(t.size for t in ts)
+            forest.aut = _aut(ts)
+            forest._hash = hash(ts)
+            _FORESTS[ts] = forest
+        return forest
+
+    def __reduce__(self):
+        return Forest, (self.trees,)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Forest) and self.key == other.key
+        return self is other or (
+            isinstance(other, Forest)
+            and self._hash == other._hash
+            and self.key == other.key
+        )
 
     def __hash__(self) -> int:
         return self._hash
@@ -147,6 +208,8 @@ class Forest:
         return f"Forest({'+'.join(t._plain() for t in self.trees)})"
 
 
+# Equal to ``Forest()``, but the package builds ``Forest()``: that is the
+# interned object also after ``foresthall.clear_caches()``.
 EMPTY_FOREST = Forest()
 
 
@@ -284,7 +347,7 @@ def parse_forest(text: str, colors: ColorTable) -> Forest:
         token, pos = take()
         if token:
             raise ParseError("unexpected text after the empty forest '0'", pos)
-        return EMPTY_FOREST
+        return Forest()
 
     trees = [parse_tree()]
     while peek() == "+":

@@ -14,9 +14,8 @@ build M.  Aut M acts freely on the triples (cut, isomorphism A -> pruned
 part, isomorphism B -> root part), there are coeff(M) |Aut A| |Aut B| of
 them, and their orbits are exactly those assignments, so the division is
 exact.  Raw assignment counts alone are wrong whenever automorphisms
-identify attachment sites.  Automorphism counts come from the canonical
-form: equal children sit next to each other, and a run of m equal subtrees
-contributes m! times the m-th power of their own count.
+identify attachment sites.  Automorphism counts are held on the interned
+forests (``Forest.aut``), computed once per isomorphism class.
 
 The coproduct is dual to disjoint union: delta_A splits into the distinct
 ordered pairs (A', A'') with A' + A'' isomorphic to A, each with coefficient
@@ -38,7 +37,7 @@ from functools import lru_cache
 
 from .cuts import enumerate_cuts
 from .enumeration import check_size, forests_of_class
-from .forest import EMPTY_FOREST, Forest, Tree, direct_sum
+from .forest import Forest, Tree, direct_sum
 from .linear import LinComb, bilinear
 
 __all__ = [
@@ -59,8 +58,10 @@ def delta(forest: Forest) -> LinComb:
 
 
 def _attach(tree: Tree, base: int, extras: dict) -> Tree:
-    """Rebuild ``tree`` grafting extra subtrees below the vertices whose
-    preorder indices appear in ``extras``."""
+    """``tree`` with extra subtrees grafted below the vertices whose preorder
+    indices appear in ``extras``; subtrees without a graft are kept as is."""
+    if not any(base <= v < base + tree.size for v in extras):
+        return tree
     new_children = []
     child_base = base + 1
     for child in tree.children:
@@ -68,26 +69,6 @@ def _attach(tree: Tree, base: int, extras: dict) -> Tree:
         child_base += child.size
     new_children.extend(extras.get(base, ()))
     return Tree(tree.color, new_children)
-
-
-def _aut(trees) -> int:
-    # Equal trees are adjacent in the canonical order.
-    count = 1
-    for tree, group in itertools.groupby(trees):
-        m = len(list(group))
-        count *= math.factorial(m) * _tree_aut(tree) ** m
-    return count
-
-
-@lru_cache(maxsize=None)
-def _tree_aut(tree: Tree) -> int:
-    """Order of the automorphism group of ``tree``."""
-    return _aut(tree.children)
-
-
-def _forest_aut(forest: Forest) -> int:
-    """Order of the automorphism group of ``forest``."""
-    return _aut(forest.trees)
 
 
 def _graft_candidates(a: Forest, b: Forest) -> dict:
@@ -142,11 +123,9 @@ def _graft_candidates(a: Forest, b: Forest) -> dict:
 @lru_cache(maxsize=None)
 def _delta_mul(a: Forest, b: Forest) -> LinComb:
     counts = _graft_candidates(a, b)
-    scale = _forest_aut(a) * _forest_aut(b)
-    return LinComb(
-        (m, counts[m] * _forest_aut(m) // scale)
-        for m in sorted(counts, key=lambda f: f.key)
-    )
+    scale = a.aut * b.aut
+    ordered = sorted(counts, key=lambda f: f.key)
+    return LinComb._merged({m: counts[m] * m.aut // scale for m in ordered})
 
 
 def hall_mul(f: LinComb, g: LinComb) -> LinComb:
@@ -189,7 +168,7 @@ def kappa(alpha, limit: int | None = None) -> LinComb:
 
 def counit(f: LinComb) -> Fraction:
     """Coefficient at the empty forest."""
-    return f.coeff(EMPTY_FOREST)
+    return f.coeff(Forest())
 
 
 def antipode(f: LinComb, limit: int | None = None) -> LinComb:

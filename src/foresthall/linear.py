@@ -49,6 +49,24 @@ class LinComb:
         self.terms = data
 
     @classmethod
+    def _merged(cls, data: dict) -> "LinComb":
+        """Wrap ``data``, whose keys are already merged; the dict is taken
+        over, not copied.
+
+        Zero values are dropped and integral ones stored as ``int``; nothing
+        is re-accumulated.
+        """
+        for key in [k for k, c in data.items() if not c or type(c) is not int]:
+            value = data[key]
+            if value:
+                data[key] = _exact(value)
+            else:
+                del data[key]
+        out = cls.__new__(cls)
+        out.terms = data
+        return out
+
+    @classmethod
     def basis(cls, key, coeff=1) -> "LinComb":
         return cls(((key, coeff),))
 
@@ -100,12 +118,13 @@ class LinComb:
 
 def bilinear(f: LinComb, g: LinComb, basis_mul) -> LinComb:
     """Extend a basis-level product bilinearly; ``basis_mul(a, b) -> LinComb``."""
-    out = []
+    out: dict = {}
     for a, ca in f.terms.items():
         for b, cb in g.terms.items():
             scale = ca * cb
-            out.extend((k, scale * c) for k, c in basis_mul(a, b).terms.items())
-    return LinComb(out)
+            for k, c in basis_mul(a, b).terms.items():
+                out[k] = out.get(k, 0) + scale * c
+    return LinComb._merged(out)
 
 
 def tensor(f: LinComb, g: LinComb) -> LinComb:

@@ -18,7 +18,7 @@ import math
 from functools import lru_cache
 
 from .enumeration import SizeLimitError, check_size
-from .forest import EMPTY_FOREST, ParseError, add_classes, format_class, parse_class
+from .forest import Forest, ParseError, add_classes, format_class, parse_class
 from .hall import hall_mul, kappa
 from .linear import LinComb
 
@@ -89,7 +89,7 @@ def _rho_word(word: Word) -> LinComb:
     # rho has checked the word's size against its bound; a letter's own
     # size is a bound it always meets, and keeps the memo keyed by word.
     if not word:
-        return LinComb.basis(EMPTY_FOREST)
+        return LinComb.basis(Forest())
     letter = word[-1]
     image = kappa(letter, limit=sum(letter))
     if len(word) == 1:

@@ -52,14 +52,16 @@ def _shuffle_pair(x: Composition, y: Composition) -> LinComb:
         return LinComb.basis(y)
     if not y:
         return LinComb.basis(x)
-    terms = []
+    terms: dict = {}
     for head, rest in (
         (x[0], _shuffle_pair(x[1:], y)),
         (y[0], _shuffle_pair(x, y[1:])),
         (add_classes(x[0], y[0]), _shuffle_pair(x[1:], y[1:])),
     ):
-        terms.extend(((head,) + comp, c) for comp, c in rest.terms.items())
-    return LinComb(terms)
+        for comp, c in rest.terms.items():
+            key = (head,) + comp
+            terms[key] = terms.get(key, 0) + c
+    return LinComb._merged(terms)
 
 
 def quasi_shuffle(f: LinComb, g: LinComb) -> LinComb:
@@ -97,7 +99,8 @@ def rho_t(forest: Forest, ncolors: int, limit: int | None = None) -> LinComb:
     unit.
     """
     check_size("forest", forest.size, limit)
-    return LinComb(flag_counts(forest, ncolors))
+    # flag_counts' dict is shared with its memo, and its counts are positive.
+    return LinComb._merged(dict(flag_counts(forest, ncolors)))
 
 
 def format_composition(comp: Composition) -> str:

@@ -4,6 +4,8 @@ import importlib
 import pkgutil
 
 import foresthall
+from foresthall import forest as forest_module
+from foresthall.forest import ColorTable, Forest, parse_forest
 from foresthall.linear import LinComb
 from foresthall.nsym import parse_word, rho
 
@@ -38,3 +40,23 @@ def test_rho_is_unchanged_by_clearing():
     after = rho(word)
     assert len(after) > 1
     assert after == before
+
+
+def test_clear_caches_empties_the_intern_tables():
+    ab = ColorTable(("a", "b"))
+    before = parse_forest("a[b,a[b]]+b+a[b,a[b]]", ab)
+    assert forest_module._TREES and forest_module._FORESTS
+    table = {before: "found"}
+    foresthall.clear_caches()
+    assert forest_module._TREES == {}
+    assert forest_module._FORESTS == {}
+    after = parse_forest("b+a[a[b],b]+a[b,a[b]]", ab)
+    assert after is not before
+    assert after == before and before == after
+    assert hash(after) == hash(before)
+    assert table[after] == "found"
+    assert {after: "found"}[before] == "found"
+    assert after.trees[1] == before.trees[1]
+    # the tables find the new objects from the old ones
+    assert Forest(before.trees) is after
+    assert after.aut == before.aut == 2

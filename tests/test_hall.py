@@ -19,8 +19,6 @@ from foresthall.forest import (
 )
 from foresthall.hall import (
     _delta_mul,
-    _forest_aut,
-    _tree_aut,
     antipode,
     ck_comul,
     ck_mul,
@@ -127,9 +125,9 @@ def test_product_coefficients_are_cut_counts():
 )
 def test_automorphism_counts(text, count):
     forest = _f(text)
-    assert _forest_aut(forest) == count
+    assert forest.aut == count
     if len(forest.trees) == 1:
-        assert _tree_aut(forest.trees[0]) == count
+        assert forest.trees[0].aut == count
 
 
 def test_graft_multiplicities_are_rescaled_by_automorphisms():

@@ -64,3 +64,29 @@ def test_bilinear_and_tensor():
         lambda a, b: LinComb.basis(b + a),
     )
     assert tm.terms == {("xy", "yx"): 36}
+
+
+def test_bilinear_merges_like_the_constructor():
+    # "xx" cancels, "xz" sums two halves to an int, "zz" stays a Fraction
+    f = LinComb([("x", 1), ("z", Fraction(1, 2))])
+    g = LinComb([("x", 1), ("z", Fraction(1, 2))])
+
+    def mul(a, b):
+        if a == b == "x":
+            return LinComb([("xx", 1), ("xz", 1)])
+        if a == b == "z":
+            return LinComb([("zz", 1), ("xx", -4)])
+        return LinComb.basis("xz")
+
+    prod = bilinear(f, g, mul)
+    expect = LinComb(
+        (k, c * v)
+        for a, ca in f.items()
+        for b, cb in g.items()
+        for k, v in mul(a, b).items()
+        for c in [ca * cb]
+    )
+    assert prod == expect
+    assert prod.terms == {"xz": 2, "zz": Fraction(1, 4)}
+    assert type(prod.terms["xz"]) is int
+    assert not bilinear(f, g, lambda a, b: LinComb()).terms
