@@ -16,7 +16,7 @@ import json
 import sys
 
 from . import verify as verify_mod
-from .cuts import FULL_CUT, enumerate_cuts, flag_counts
+from .cuts import enumerate_cuts, flag_counts
 from .enumeration import (
     DEFAULT_SIZE_LIMIT,
     SizeLimitError,
@@ -287,26 +287,26 @@ def _cmd_forest_class(session, args) -> int:
     return 0
 
 
-def _fmt_cut(cut) -> list:
-    out = []
-    for component in cut:
-        if component == FULL_CUT:
-            out.append("full")
-        else:
-            out.append(sorted(component))
-    return out
+def _fmt_cut(masks) -> list:
+    """Per component "full", or the preorder indices of the cut edges."""
+    return [
+        "full"
+        if mask & 1
+        else [i for i in range(mask.bit_length()) if mask >> i & 1]
+        for mask in masks
+    ]
 
 
 def _cmd_cuts_list(session, args) -> int:
     colors = _need_colors(session)
     (forest,) = _forests(session, args.expr)
     rows = []
-    for cut, result in enumerate_cuts(forest):
+    for masks, pruned, root in enumerate_cuts(forest):
         rows.append(
             {
-                "cut": _fmt_cut(cut),
-                "pruned": format_forest(result.pruned, colors),
-                "root": format_forest(result.root_part, colors),
+                "cut": _fmt_cut(masks),
+                "pruned": format_forest(pruned, colors),
+                "root": format_forest(root, colors),
             }
         )
     payload = {

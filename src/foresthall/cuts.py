@@ -7,95 +7,75 @@ fall away from the root) and the root part; the full cut sends everything to
 the pruned side, the empty edge set sends everything to the root side.  Cuts
 of a forest choose one cut per component, independently.
 
-Edges are named by the preorder index of their child vertex inside their
-component, so enumeration is deterministic and repeat (pruned, root) pairs
-coming from genuinely different edge sets stay distinguishable.
+A cut of one tree is an edge mask: bit i cuts the edge above the vertex of
+preorder index i, so bit 0, the edge above the root, is the full cut.  The
+enumeration order is deterministic, and repeat (pruned, root) pairs coming
+from genuinely different cuts stay distinguishable.
 
-Cut lists are rebuilt on every call to ``enumerate_cuts``; what is memoized
-is what is read off them: the per-tree cuts, the (pruned, root) census, and
-the flag counts behind rho_t.  The census is not on the Hall product's
-path (that counts graft orbits); it is the independent oracle that the
-hall-oracle suite and the tests compare the product with.
+The cuts of each tree are memoized per interned tree (``_tree_cuts``); the
+cut list of a forest is rebuilt on every call to ``enumerate_cuts``, and what
+is memoized is what is read off it: the (pruned, root) census and the flag
+counts behind rho_t.  The census is not on the Hall product's path (that
+counts graft orbits); it is the independent oracle that the hall-oracle
+suite and the tests compare the product with.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import NamedTuple
 
 from .forest import Forest, Tree, k0_class
 
 __all__ = [
-    "FULL_CUT",
-    "CutResult",
     "enumerate_cuts",
     "cut_census",
     "count_cut_pairs",
     "flag_counts",
-    "enumerate_flags",
 ]
-
-FULL_CUT = "full"
-
-
-class CutResult(NamedTuple):
-    pruned: Forest
-    root_part: Forest
-
-
-def _subtree_cuts(tree: Tree, base: int) -> list[tuple[frozenset, tuple, Tree]]:
-    """All admissible edge subsets strictly inside ``tree``.
-
-    Returns (edges, pruned trees, kept tree) triples; ``base`` is the
-    preorder index of the root of ``tree`` within its component.  Each edge
-    below the root is either cut (its whole subtree is pruned) or recursed
-    into, which is exactly the once-per-path condition.
-    """
-    slots = []
-    child_base = base + 1
-    for child in tree.children:
-        options = [(frozenset((child_base,)), (child,), None)]
-        options.extend(_subtree_cuts(child, child_base))
-        slots.append(options)
-        child_base += child.size
-    results = []
-    for combo in itertools.product(*slots):
-        edges = frozenset(
-            itertools.chain.from_iterable(e for e, _, _ in combo)
-        )
-        pruned = tuple(
-            itertools.chain.from_iterable(p for _, p, _ in combo)
-        )
-        kept = Tree(tree.color, [k for _, _, k in combo if k is not None])
-        results.append((edges, pruned, kept))
-    return results
 
 
 @lru_cache(maxsize=None)
-def _component_cuts(tree: Tree) -> tuple:
-    """Edge-subset cuts of a single tree plus the formal full cut."""
-    cuts = _subtree_cuts(tree, 0)
-    cuts.append((FULL_CUT, (tree,), None))
+def _tree_cuts(tree: Tree) -> tuple:
+    """Every cut of ``tree`` as (edge mask, pruned trees, kept tree or None).
+
+    Each edge below the root is either cut (its whole subtree is pruned) or
+    recursed into, which is exactly the once-per-path condition: a child's
+    options are its own cuts shifted to its preorder offset, its full cut
+    first.  The full cut of ``tree``, the only one that keeps nothing, comes
+    last.
+    """
+    slots = []
+    offset = 1
+    for child in tree.children:
+        *inner, full = _tree_cuts(child)
+        slots.append([(m << offset, p, k) for m, p, k in (full, *inner)])
+        offset += child.size
+    cuts = [
+        (
+            sum(mask for mask, _, _ in combo),
+            tuple(itertools.chain.from_iterable(p for _, p, _ in combo)),
+            Tree(tree.color, [k for _, _, k in combo if k is not None]),
+        )
+        for combo in itertools.product(*slots)
+    ]
+    cuts.append((1, (tree,), None))
     return tuple(cuts)
 
 
 def enumerate_cuts(forest: Forest) -> tuple:
-    """Every admissible cut of ``forest`` as (cut, CutResult) pairs.
+    """Every admissible cut of ``forest`` as (masks, pruned, root) triples.
 
-    The cut itself is a tuple with one entry per component: either a
-    frozenset of edge indices or FULL_CUT.  The order is deterministic.
-    Nothing is cached: callers that need an aggregate memoize that instead.
+    ``masks`` holds one edge mask per component, in component order.  The
+    order is deterministic.  The list is rebuilt on every call: callers
+    that need an aggregate memoize that instead.
     """
-    per_component = [_component_cuts(t) for t in forest.trees]
     out = []
-    for combo in itertools.product(*per_component):
-        cut = tuple(entry[0] for entry in combo)
-        pruned = tuple(
-            itertools.chain.from_iterable(entry[1] for entry in combo)
-        )
-        roots = tuple(entry[2] for entry in combo if entry[2] is not None)
-        out.append((cut, CutResult(Forest(pruned), Forest(roots))))
+    for combo in itertools.product(*map(_tree_cuts, forest.trees)):
+        masks = tuple(mask for mask, _, _ in combo)
+        pruned = Forest(itertools.chain.from_iterable(p for _, p, _ in combo))
+        root = Forest(k for _, _, k in combo if k is not None)
+        out.append((masks, pruned, root))
     return tuple(out)
 
 
@@ -103,8 +83,8 @@ def enumerate_cuts(forest: Forest) -> tuple:
 def cut_census(forest: Forest) -> dict:
     """How many cuts of ``forest`` produce each (pruned, root) pair."""
     census: dict = {}
-    for _, result in enumerate_cuts(forest):
-        census[result] = census.get(result, 0) + 1
+    for _, pruned, root in enumerate_cuts(forest):
+        census[pruned, root] = census.get((pruned, root), 0) + 1
     return census
 
 
@@ -133,26 +113,11 @@ def flag_counts(forest: Forest, ncolors: int) -> dict:
     if forest.size == 0:
         return {(): 1}
     counts: dict = {}
-    for _, result in enumerate_cuts(forest):
-        root = result.root_part
+    for _, pruned, root in enumerate_cuts(forest):
         if root.size == 0:
             continue
         step = (k0_class(root, ncolors),)
-        for head, n in flag_counts(result.pruned, ncolors).items():
+        for head, n in flag_counts(pruned, ncolors).items():
             flag = head + step
             counts[flag] = counts.get(flag, 0) + n
     return counts
-
-
-def enumerate_flags(forest: Forest, k: int, ncolors: int) -> list[tuple]:
-    """Multiset of class sequences of k-step iterated cuts of ``forest``.
-
-    The k-step entries of ``flag_counts``, each repeated by its count:
-    distinct cut sequences contribute separate (possibly equal) entries.
-    """
-    if k < 1:
-        raise ValueError("flag length k must be at least 1")
-    if forest.size == 0:
-        raise ValueError("flags are defined for nonempty forests")
-    counts = flag_counts(forest, ncolors)
-    return [f for f, n in counts.items() if len(f) == k for _ in range(n)]

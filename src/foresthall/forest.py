@@ -26,7 +26,6 @@ __all__ = [
     "ColorTable",
     "Tree",
     "Forest",
-    "EMPTY_FOREST",
     "ParseError",
     "parse_forest",
     "format_forest",
@@ -206,11 +205,6 @@ class Forest:
         if not self.trees:
             return "Forest(0)"
         return f"Forest({'+'.join(t._plain() for t in self.trees)})"
-
-
-# Equal to ``Forest()``, but the package builds ``Forest()``: that is the
-# interned object also after ``foresthall.clear_caches()``.
-EMPTY_FOREST = Forest()
 
 
 def single_vertex(color: int) -> Forest:

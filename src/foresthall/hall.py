@@ -203,6 +203,6 @@ def ck_mul(a: Forest, b: Forest) -> Forest:
 
 
 def ck_comul(a: Forest) -> list[tuple[Forest, Forest]]:
-    """Coproduct terms on the dual W basis: one (pruned, root) pair per
-    admissible cut, repeats included."""
-    return [(res.pruned, res.root_part) for _, res in enumerate_cuts(a)]
+    """Coproduct terms on the dual W basis: the (pruned, root) pair of each
+    admissible cut, in ``enumerate_cuts`` order, repeats included."""
+    return [(pruned, root) for _, pruned, root in enumerate_cuts(a)]

@@ -37,6 +37,7 @@ Word = tuple  # tuple of nonzero class vectors
 
 
 def word_degree(word: Word, ncolors: int) -> tuple[int, ...]:
+    """Class of a word, or of a composition: the sum of its letters."""
     deg = (0,) * ncolors
     for letter in word:
         deg = add_classes(deg, letter)

@@ -23,6 +23,7 @@ from .cuts import flag_counts
 from .enumeration import check_size
 from .forest import Forest, ParseError, add_classes, format_class, parse_class
 from .linear import LinComb, bilinear
+from .nsym import word_degree
 
 __all__ = [
     "quasi_shuffle",
@@ -37,11 +38,7 @@ __all__ = [
 Composition = tuple  # tuple of nonzero class vectors
 
 
-def composition_degree(comp: Composition, ncolors: int) -> tuple[int, ...]:
-    deg = (0,) * ncolors
-    for part in comp:
-        deg = add_classes(deg, part)
-    return deg
+composition_degree = word_degree
 
 
 @lru_cache(maxsize=None)

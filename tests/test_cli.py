@@ -432,6 +432,7 @@ def test_deterministic_output(capsys):
         ["nsym", "js", "--n", "2", "--colors", "a,b", "--weights", "a=1"],
         ["qsym", "rhot", "--forest", "a", "--colors", "a", "--max-vertices", "0"],
         ["cuts", "flags", "0", "--colors", "a"],
+        ["cuts", "flags", "a", "--colors", "a", "--k", "0"],
     ],
 )
 def test_domain_errors_exit_one(capsys, argv):

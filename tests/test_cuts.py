@@ -2,21 +2,18 @@
 
 The oracle enumerates every subset of edges, keeps those meeting each
 root-to-leaf path at most once, splits by deleting edges, and adds the formal
-full cut per component.  It shares no code with the library's slot-product
-recursion.
+full cut per component, labelled by the edge above the root.  It shares no
+code with the library's slot-product recursion.
 """
 
 import itertools
 from collections import Counter
 
-import pytest
-
 from foresthall.cuts import (
-    FULL_CUT,
     count_cut_pairs,
     cut_census,
     enumerate_cuts,
-    enumerate_flags,
+    flag_counts,
 )
 from foresthall.enumeration import forests_of_class, trees_of_class
 from foresthall.forest import (
@@ -70,6 +67,8 @@ def _split(tree, cut_edges, base=0):
 
 
 def _oracle_tree_cuts(tree):
+    """(cut edges by child preorder index, pruned trees, kept trees) per cut;
+    the full cut cuts edge 0, the one above the root."""
     edges = _edges(tree)
     paths = _leaf_paths(tree)
     results = []
@@ -78,21 +77,33 @@ def _oracle_tree_cuts(tree):
             chosen = frozenset(subset)
             if all(len(chosen & path) <= 1 for path in paths):
                 pruned, kept = _split(tree, chosen)
-                results.append((tuple(pruned), (kept,)))
-    results.append(((tree,), ()))
+                label = frozenset(child for _, child in chosen)
+                results.append((label, tuple(pruned), (kept,)))
+    results.append((frozenset((0,)), (tree,), ()))
     return results
 
 
-def _oracle_census(forest):
+def _oracle_cuts(forest):
+    """Counter of (per-component labels, pruned, root) over all cuts."""
     per_component = [_oracle_tree_cuts(t) for t in forest.trees]
-    census = Counter()
+    cuts = Counter()
     for combo in itertools.product(*per_component):
-        pruned = Forest(
-            itertools.chain.from_iterable(p for p, _ in combo)
-        )
-        roots = Forest(itertools.chain.from_iterable(r for _, r in combo))
-        census[(pruned, roots)] += 1
+        labels = tuple(label for label, _, _ in combo)
+        pruned = Forest(itertools.chain.from_iterable(p for _, p, _ in combo))
+        roots = Forest(itertools.chain.from_iterable(r for _, _, r in combo))
+        cuts[labels, pruned, roots] += 1
+    return cuts
+
+
+def _oracle_census(forest):
+    census = Counter()
+    for (_, pruned, roots), n in _oracle_cuts(forest).items():
+        census[pruned, roots] += n
     return census
+
+
+def _mask_edges(mask):
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def _universe(max_total):
@@ -121,6 +132,21 @@ def test_census_matches_oracle_six_edge_trees():
         assert cut_census(forest) == _oracle_census(forest), forest
 
 
+def test_cut_labels_match_oracle():
+    # every mask names the edges the oracle cut, with the same split
+    universe = (
+        *_universe(4),
+        *forests_of_class((6,)),
+        *(Forest((t,)) for t in trees_of_class((7,))),
+    )
+    for forest in universe:
+        got = Counter(
+            (tuple(map(_mask_edges, masks)), pruned, root)
+            for masks, pruned, root in enumerate_cuts(forest)
+        )
+        assert got == _oracle_cuts(forest), forest
+
+
 def test_cut_count_equals_oracle_count():
     # total cuts = admissible edge subsets + one full cut per component mix
     for forest in _universe(4):
@@ -131,7 +157,7 @@ def test_cut_count_equals_oracle_count():
 
 def test_single_vertex_has_two_cuts():
     forest = parse_forest("a", AB)
-    pairs = [(r.pruned, r.root_part) for _, r in enumerate_cuts(forest)]
+    pairs = [(pruned, root) for _, pruned, root in enumerate_cuts(forest)]
     empty = Forest()
     assert sorted(pairs, key=lambda p: (p[0].key, p[1].key)) == [
         (empty, forest),
@@ -173,20 +199,15 @@ def _fmt(forest):
 
 def test_full_cut_is_marked():
     forest = parse_forest("a[b]", AB)
-    full = [cut for cut, r in enumerate_cuts(forest) if not r.root_part]
-    assert full == [(FULL_CUT,)]
+    full = [masks for masks, _, root in enumerate_cuts(forest) if not root]
+    assert full == [(1,)]
 
 
 def test_class_additivity_over_cuts():
     for forest in _universe(4):
         total = k0_class(forest, 2)
-        for _, result in enumerate_cuts(forest):
-            assert (
-                add_classes(
-                    k0_class(result.pruned, 2), k0_class(result.root_part, 2)
-                )
-                == total
-            )
+        for _, pruned, root in enumerate_cuts(forest):
+            assert add_classes(k0_class(pruned, 2), k0_class(root, 2)) == total
 
 
 def test_count_cut_pairs_orientation():
@@ -210,48 +231,43 @@ def test_count_cut_pairs_size_mismatch_is_zero():
 
 
 def test_empty_forest_has_one_cut():
-    [(cut, result)] = enumerate_cuts(Forest())
-    assert cut == ()
-    assert result.pruned == Forest() and result.root_part == Forest()
+    [(masks, pruned, root)] = enumerate_cuts(Forest())
+    assert masks == ()
+    assert pruned == Forest() and root == Forest()
 
 
 # --- flags ------------------------------------------------------------------
 
 
-def test_flags_validation():
-    with pytest.raises(ValueError):
-        enumerate_flags(parse_forest("a", AB), 0, 2)
-    with pytest.raises(ValueError):
-        enumerate_flags(Forest(), 1, 2)
+def _flags(forest, k, ncolors):
+    """The k-step flags of ``forest`` with their counts."""
+    counts = flag_counts(forest, ncolors)
+    return {flag: n for flag, n in counts.items() if len(flag) == k}
 
 
 def test_flags_single_vertex():
-    assert enumerate_flags(parse_forest("a", AB), 1, 2) == [((1, 0),)]
-    assert enumerate_flags(parse_forest("a", AB), 2, 2) == []
+    assert _flags(parse_forest("a", AB), 1, 2) == {((1, 0),): 1}
+    assert _flags(parse_forest("a", AB), 2, 2) == {}
 
 
 def test_flags_duplicates_count():
-    flags = enumerate_flags(parse_forest("a+a", ColorTable(("a",))), 2, 1)
-    assert flags == [((1,), (1,)), ((1,), (1,))]
+    flags = _flags(parse_forest("a+a", ColorTable(("a",))), 2, 1)
+    assert flags == {((1,), (1,)): 2}
 
 
 def test_flags_three_vertex_worked_example():
     forest = parse_forest("a[b,a]", AB)
-    assert Counter(enumerate_flags(forest, 1, 2)) == Counter({((2, 1),): 1})
-    assert Counter(enumerate_flags(forest, 2, 2)) == Counter(
-        {
-            ((1, 1), (1, 0)): 1,
-            ((1, 0), (1, 1)): 1,
-            ((0, 1), (2, 0)): 1,
-        }
-    )
-    assert Counter(enumerate_flags(forest, 3, 2)) == Counter(
-        {
-            ((1, 0), (0, 1), (1, 0)): 1,
-            ((0, 1), (1, 0), (1, 0)): 1,
-        }
-    )
-    assert enumerate_flags(forest, 4, 2) == []
+    assert _flags(forest, 1, 2) == {((2, 1),): 1}
+    assert _flags(forest, 2, 2) == {
+        ((1, 1), (1, 0)): 1,
+        ((1, 0), (1, 1)): 1,
+        ((0, 1), (2, 0)): 1,
+    }
+    assert _flags(forest, 3, 2) == {
+        ((1, 0), (0, 1), (1, 0)): 1,
+        ((0, 1), (1, 0), (1, 0)): 1,
+    }
+    assert _flags(forest, 4, 2) == {}
 
 
 def test_flag_step_classes_sum_to_forest_class():
@@ -259,7 +275,7 @@ def test_flag_step_classes_sum_to_forest_class():
         if not forest:
             continue
         for k in range(1, forest.size + 1):
-            for flag in enumerate_flags(forest, k, 2):
+            for flag in _flags(forest, k, 2):
                 assert len(flag) == k
                 assert all(any(step) for step in flag)
                 total = (0, 0)

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from foresthall.enumeration import forests_of_class
 from foresthall.forest import (
-    EMPTY_FOREST,
     ColorTable,
     Forest,
     ParseError,
@@ -42,9 +41,9 @@ def test_color_table_validation():
 
 
 def test_parse_empty_forest():
-    assert parse_forest("0", AB) == EMPTY_FOREST
-    assert parse_forest("  0  ", AB) == EMPTY_FOREST
-    assert format_forest(EMPTY_FOREST, AB) == "0"
+    assert parse_forest("0", AB) == Forest()
+    assert parse_forest("  0  ", AB) == Forest()
+    assert format_forest(Forest(), AB) == "0"
 
 
 def test_parse_basic_shapes():
@@ -118,7 +117,7 @@ def test_parse_error_positions():
 
 
 def test_k0_class_examples():
-    assert k0_class(EMPTY_FOREST, 2) == (0, 0)
+    assert k0_class(Forest(), 2) == (0, 0)
     assert k0_class(parse_forest("a[b]", AB), 2) == (1, 1)
     assert k0_class(parse_forest("a[b,a]", AB), 2) == (2, 1)
     assert k0_class(single_vertex(1), 2) == (0, 1)
@@ -129,8 +128,8 @@ def test_k0_class_examples():
 def test_direct_sum():
     one = single_vertex(0)
     assert format_forest(direct_sum(one, one), AB) == "a+a"
-    assert direct_sum(one, EMPTY_FOREST) == one
-    assert direct_sum(EMPTY_FOREST, one) == one
+    assert direct_sum(one, Forest()) == one
+    assert direct_sum(Forest(), one) == one
     mixed = direct_sum(parse_forest("a[b]", AB), single_vertex(0))
     assert format_forest(mixed, AB) == "a+a[b]"
 
