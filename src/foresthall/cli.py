@@ -503,7 +503,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RecursionError:
-        # Parsing, formatting and the algebra recurse once per tree level.
+        # The algebra recurses once per tree level (parsing does not).
         print("error: input is nested too deeply to process", file=sys.stderr)
         return 1
 

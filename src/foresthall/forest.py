@@ -305,59 +305,61 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
 def parse_forest(text: str, colors: ColorTable) -> Forest:
     """Parse the forest grammar against ``colors``; returns canonical form."""
     tokens = _tokenize(text)
-    cursor = 0
-
-    def peek() -> str:
-        return tokens[cursor][0]
-
-    def take() -> tuple[str, int]:
-        nonlocal cursor
-        token = tokens[cursor]
-        cursor += 1
-        return token
-
-    def parse_tree() -> Tree:
-        token, pos = take()
+    if tokens[0][0] == "0":
+        token, pos = tokens[1]
+        if token:
+            raise ParseError("unexpected text after the empty forest '0'", pos)
+        return Forest()
+    # Iterative, so that depth is bounded by memory alone: the stack holds
+    # each open bracket's color and children, above the components so far.
+    stack: list[tuple] = [(None, [])]
+    i = 0
+    while True:
+        token, pos = tokens[i]
         if not _IDENT_RE.match(token):
             what = repr(token) if token else "end of input"
             raise ParseError(f"expected a color identifier, got {what}", pos)
         if token not in colors.index:
             raise ParseError(f"unknown color {token!r}", pos)
-        color = colors.index[token]
-        children = []
-        if peek() == "[":
-            take()
-            children.append(parse_tree())
-            while peek() == ",":
-                take()
-                children.append(parse_tree())
-            closer, cpos = take()
-            if closer != "]":
-                raise ParseError("expected ',' or ']'", cpos)
-        return Tree(color, children)
-
-    if peek() == "0":
-        take()
-        token, pos = take()
-        if token:
-            raise ParseError("unexpected text after the empty forest '0'", pos)
-        return Forest()
-
-    trees = [parse_tree()]
-    while peek() == "+":
-        take()
-        trees.append(parse_tree())
-    token, pos = take()
-    if token:
-        raise ParseError(f"unexpected trailing {token!r}", pos)
-    return Forest(trees)
+        i += 1
+        if tokens[i][0] == "[":
+            stack.append((colors.index[token], []))
+            i += 1
+            continue
+        tree = Tree(colors.index[token])
+        while True:
+            stack[-1][1].append(tree)
+            token, pos = tokens[i]
+            i += 1
+            if len(stack) == 1:
+                if token == "+":
+                    break
+                if token:
+                    raise ParseError(f"unexpected trailing {token!r}", pos)
+                return Forest(stack[0][1])
+            if token == ",":
+                break
+            if token != "]":
+                raise ParseError("expected ',' or ']'", pos)
+            tree = Tree(*stack.pop())
 
 
 def format_tree(tree: Tree, colors: ColorTable) -> str:
-    name = colors.name(tree.color)
-    if not tree.children:
-        return name
-    return f"{name}[{','.join(format_tree(c, colors) for c in tree.children)}]"
+    # Iterative like parse_forest: a stack of trees and punctuation to write.
+    out, stack = [], [tree]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif item.children:
+            out.append(colors.name(item.color) + "[")
+            stack.append("]")
+            for child in reversed(item.children):
+                stack += (child, ",")
+            stack.pop()  # the comma before the first child
+        else:
+            out.append(colors.name(item.color))
+    return "".join(out)
 
 
 def format_forest(forest: Forest, colors: ColorTable) -> str:

@@ -17,6 +17,15 @@ exact.  Raw assignment counts alone are wrong whenever automorphisms
 identify attachment sites.  Automorphism counts are held on the interned
 forests (``Forest.aut``), computed once per isomorphism class.
 
+n_M is counted by a recursion over B, the Grossman-Larson grafting: S onto
+a tree T hangs part of S at T's root and grafts the rest into T's children;
+S onto a forest splits between its first tree and the others; the part of A
+placed nowhere becomes new components.  A split sending j of a run of m
+equal components one way stands for the C(m, j) choices of which labelled
+ones go, so weighting it by those binomials keeps n_M an ordered-assignment
+count.  The grafts onto each tree, and each forest of two or more trees,
+are memoized on the interned objects and shared by every pair (A, B).
+
 The coproduct is dual to disjoint union: delta_A splits into the distinct
 ordered pairs (A', A'') with A' + A'' isomorphic to A, each with coefficient
 one.  Together these make the span of the deltas a co-commutative connected
@@ -38,7 +47,7 @@ from functools import lru_cache
 from .cuts import enumerate_cuts
 from .enumeration import check_size, forests_of_class
 from .forest import Forest, Tree, direct_sum
-from .linear import LinComb, bilinear
+from .linear import LinComb, bilinear, extend
 
 __all__ = [
     "delta",
@@ -57,18 +66,65 @@ def delta(forest: Forest) -> LinComb:
     return LinComb.basis(forest)
 
 
-def _attach(tree: Tree, base: int, extras: dict) -> Tree:
-    """``tree`` with extra subtrees grafted below the vertices whose preorder
-    indices appear in ``extras``; subtrees without a graft are kept as is."""
-    if not any(base <= v < base + tree.size for v in extras):
-        return tree
-    new_children = []
-    child_base = base + 1
-    for child in tree.children:
-        new_children.append(_attach(child, child_base, extras))
-        child_base += child.size
-    new_children.extend(extras.get(base, ()))
-    return Tree(tree.color, new_children)
+@lru_cache(maxsize=None)
+def _splits(s: Forest) -> tuple:
+    """Every split of the multiset ``s`` into ``(x, y, ways)``: a run of m
+    equal components sends j of them to x, and ``ways``, the product of the
+    C(m, j), counts the ways to choose which of the labelled ones go."""
+    runs = [(t, len(list(group))) for t, group in itertools.groupby(s.trees)]
+    out = []
+    for picks in itertools.product(*(range(m + 1) for _, m in runs)):
+        x, y, ways = [], [], 1
+        for (t, m), j in zip(runs, picks):
+            x.extend([t] * j)
+            y.extend([t] * (m - j))
+            ways *= math.comb(m, j)
+        out.append((Forest(x), Forest(y), ways))
+    return tuple(out)
+
+
+def _onto(s: Forest, f: Forest):
+    """``(trees, n)`` pairs: each way to hang every component of ``s`` below
+    some vertex of ``f``, as the components built, and n the assignments."""
+    if not s:
+        return ((f.trees, 1),)
+    if not f:
+        return ()
+    if len(f.trees) == 1:
+        return (((t,), n) for t, n in _graft_tree(s, f.trees[0]).items())
+    return ((g.trees, n) for g, n in _graft_forest(s, f).items())
+
+
+def _hang(s: Forest, f: Forest, build) -> dict:
+    """``{build(trees): n}``: part of ``s`` kept as is, the rest hung below
+    vertices of ``f``, and n the assignments that do so."""
+    counts: dict = {}
+    for kept, rest, ways in _splits(s):
+        for grown, n in _onto(rest, f):
+            built = build(grown + kept.trees)
+            counts[built] = counts.get(built, 0) + ways * n
+    return counts
+
+
+@lru_cache(maxsize=None)
+def _graft_tree(s: Forest, t: Tree) -> dict:
+    """``{T': n}``: the non-empty ``s`` hung below vertices of ``t``, part
+    at the root and the rest into the root's children."""
+    return _hang(s, Forest(t.children), lambda kids: Tree(t.color, kids))
+
+
+@lru_cache(maxsize=None)
+def _graft_forest(s: Forest, f: Forest) -> dict:
+    """``{F': n}``: the non-empty ``s`` hung below vertices of ``f``, which
+    has two or more components, part onto the first and the rest beside."""
+    first, rest = f.trees[0], Forest(f.trees[1:])
+    counts: dict = {}
+    for x, y, ways in _splits(s):
+        for t, n in _graft_tree(x, first).items() if x else ((first, 1),):
+            for r, k in _onto(y, rest):
+                grown = Forest((t,) + r)
+                counts[grown] = counts.get(grown, 0) + ways * n * k
+    return counts
 
 
 def _graft_candidates(a: Forest, b: Forest) -> dict:
@@ -78,46 +134,9 @@ def _graft_candidates(a: Forest, b: Forest) -> dict:
 
     Every M with a cut (pruned=A, root=B) arises this way: undoing the cut
     re-attaches each pruned component below its former parent in B, or
-    reinstates it as a component of M when the full cut removed it.  A run
-    of m equal components is grafted over multisets of targets, each
-    standing for m! / (product of its multiplicities!) ordered assignments.
+    reinstates it as a component of M when the full cut removed it.
     """
-    # Target -1 is "new component"; vertex v of b is (component, preorder).
-    sites = [
-        (ci, v) for ci, tree in enumerate(b.trees) for v in range(tree.size)
-    ]
-    per_run = []
-    for tree, group in itertools.groupby(a.trees):
-        m = len(list(group))
-        options = []
-        for combo in itertools.combinations_with_replacement(
-            range(-1, b.size), m
-        ):
-            ways = math.factorial(m)
-            for _, same in itertools.groupby(combo):
-                ways //= math.factorial(len(list(same)))
-            options.append((tree, combo, ways))
-        per_run.append(options)
-    counts: dict = {}
-    for choice in itertools.product(*per_run):
-        extras: list[dict] = [{} for _ in b.trees]
-        standalone = []
-        n = 1
-        for tree, combo, ways in choice:
-            n *= ways
-            for target in combo:
-                if target < 0:
-                    standalone.append(tree)
-                else:
-                    ci, v = sites[target]
-                    extras[ci].setdefault(v, []).append(tree)
-        components = [
-            _attach(tree, 0, extra) if extra else tree
-            for tree, extra in zip(b.trees, extras)
-        ]
-        m = Forest(tuple(components) + tuple(standalone))
-        counts[m] = counts.get(m, 0) + n
-    return counts
+    return _hang(a, b, Forest)
 
 
 @lru_cache(maxsize=None)
@@ -135,29 +154,13 @@ def hall_mul(f: LinComb, g: LinComb) -> LinComb:
 
 @lru_cache(maxsize=None)
 def _delta_comul(a: Forest) -> LinComb:
-    # Distinct ordered splittings of the component multiset; equal components
-    # are adjacent in the canonical order, so groupby sees them together.
-    distinct = [
-        (tree, len(list(group))) for tree, group in itertools.groupby(a.trees)
-    ]
-    terms = []
-    for picks in itertools.product(*(range(c + 1) for _, c in distinct)):
-        left: list[Tree] = []
-        right: list[Tree] = []
-        for (tree, count), k in zip(distinct, picks):
-            left.extend([tree] * k)
-            right.extend([tree] * (count - k))
-        terms.append(((Forest(left), Forest(right)), 1))
-    return LinComb(terms)
+    return LinComb._merged({(x, y): 1 for x, y, _ in _splits(a)})
 
 
 def hall_comul(f: LinComb) -> LinComb:
     """Coproduct dual to disjoint union: delta_A splits into every distinct
     ordered pair (A', A'') with A' + A'' isomorphic to A, coefficient one."""
-    out = []
-    for a, c in f.terms.items():
-        out.extend((pair, c * v) for pair, v in _delta_comul(a).terms.items())
-    return LinComb(out)
+    return extend(f, _delta_comul)
 
 
 def kappa(alpha, limit: int | None = None) -> LinComb:
@@ -175,11 +178,7 @@ def antipode(f: LinComb, limit: int | None = None) -> LinComb:
     """Hopf antipode, by the connected graded recursion."""
     for forest in f.terms:
         check_size("forest", forest.size, limit)
-    out = []
-    for forest, c in f.terms.items():
-        image = _antipode_delta(forest)
-        out.extend((k, c * v) for k, v in image.terms.items())
-    return LinComb(out)
+    return extend(f, _antipode_delta)
 
 
 @lru_cache(maxsize=None)

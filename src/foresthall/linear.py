@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["LinComb", "bilinear", "tensor", "tensor_mul"]
+__all__ = ["LinComb", "bilinear", "extend", "tensor", "tensor_mul"]
 
 _SCALARS = (int, Fraction)
 
@@ -124,6 +124,20 @@ def bilinear(f: LinComb, g: LinComb, basis_mul) -> LinComb:
             scale = ca * cb
             for k, c in basis_mul(a, b).terms.items():
                 out[k] = out.get(k, 0) + scale * c
+    return LinComb._merged(out)
+
+
+def extend(f: LinComb, image) -> LinComb:
+    """Extend a basis-level map linearly; ``image(key) -> LinComb``.  A
+    basis element with coefficient 1 maps to its image itself, not a copy."""
+    if len(f.terms) == 1:
+        ((key, c),) = f.terms.items()
+        if c == 1:
+            return image(key)
+    out: dict = {}
+    for key, c in f.terms.items():
+        for k, v in image(key).terms.items():
+            out[k] = out.get(k, 0) + c * v
     return LinComb._merged(out)
 
 

@@ -20,7 +20,7 @@ from functools import lru_cache
 from .enumeration import SizeLimitError, check_size
 from .forest import Forest, ParseError, add_classes, format_class, parse_class
 from .hall import hall_mul, kappa
-from .linear import LinComb
+from .linear import LinComb, extend
 
 __all__ = [
     "nsym_mul",
@@ -42,10 +42,6 @@ def word_degree(word: Word, ncolors: int) -> tuple[int, ...]:
     for letter in word:
         deg = add_classes(deg, letter)
     return deg
-
-
-def _concat(u: Word, v: Word) -> LinComb:
-    return LinComb.basis(u + v)
 
 
 def nsym_mul(f: LinComb, g: LinComb) -> LinComb:
@@ -79,10 +75,7 @@ def _word_comul(word: Word) -> LinComb:
 
 def nsym_comul(f: LinComb) -> LinComb:
     """Coproduct splitting every letter componentwise (zero parts drop out)."""
-    out = []
-    for word, c in f.terms.items():
-        out.extend((k, c * v) for k, v in _word_comul(word).terms.items())
-    return LinComb(out)
+    return extend(f, _word_comul)
 
 
 @lru_cache(maxsize=None)
@@ -103,10 +96,7 @@ def rho(f: LinComb, limit: int | None = None) -> LinComb:
     to kappa_alpha, concatenation goes to the convolution product."""
     for word in f.terms:
         check_size("word", sum(sum(letter) for letter in word), limit)
-    out = []
-    for word, c in f.terms.items():
-        out.extend((k, c * v) for k, v in _rho_word(word).terms.items())
-    return LinComb(out)
+    return extend(f, _rho_word)
 
 
 # The largest smallest weight (after dividing out the gcd) for which

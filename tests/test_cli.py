@@ -370,10 +370,31 @@ def test_js_size_guard(capsys, argv, message):
     )
 
 
-def test_deep_nesting_is_one_error_line(capsys):
-    chain = "a[" * 1499 + "a" + "]" * 1499
+DEEP_CHAIN = "a[" * 1499 + "a" + "]" * 1499
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+def test_deep_chain_is_parsed_and_written(capsys, json_flag):
+    # Parsing, formatting, interning and k0_class hold no recursion.
     code, out, err = _run(
-        capsys, "forest", "normalize", chain, "--colors", "a"
+        capsys, "forest", "normalize", DEEP_CHAIN, "--colors", "a", *json_flag
+    )
+    assert code == 0 and err == ""
+    text = json.loads(out)["forest"] if json_flag else out.rstrip("\n")
+    assert text == DEEP_CHAIN
+    code, out, err = _run(
+        capsys, "forest", "class", DEEP_CHAIN, "--colors", "a", *json_flag
+    )
+    assert code == 0 and err == ""
+    assert out == ('{\n  "class": [\n    1500\n  ],\n  "size": 1500\n}\n'
+                   if json_flag else "(1500)\n")
+
+
+def test_deep_nesting_is_one_error_line(capsys):
+    # Enumerating cuts recurses once per tree level.
+    code, out, err = _run(
+        capsys, "cuts", "list", DEEP_CHAIN, "--colors", "a",
+        "--max-vertices", "1500",
     )
     assert code == 1 and out == ""
     assert err == "error: input is nested too deeply to process\n"

@@ -1,6 +1,7 @@
 """Hall algebra structure constants, coproduct, antipode, and the dual ops."""
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from foresthall.enumeration import SizeLimitError, forests_of_class
 from foresthall.forest import (
     ColorTable,
     Forest,
+    Tree,
     add_classes,
     direct_sum,
     format_forest,
@@ -19,6 +21,7 @@ from foresthall.forest import (
 )
 from foresthall.hall import (
     _delta_mul,
+    _graft_candidates,
     antipode,
     ck_comul,
     ck_mul,
@@ -109,6 +112,72 @@ def test_product_coefficients_are_cut_counts():
                 )
                 assert _delta_mul(a, b) == census, (a, b)
                 pairs += 1
+    assert pairs == 4975
+
+
+def _attach(tree, base, extras):
+    """``tree`` with extra subtrees grafted below the vertices whose preorder
+    indices (counted from ``base``) appear in ``extras``."""
+    new_children = []
+    child_base = base + 1
+    for child in tree.children:
+        new_children.append(_attach(child, child_base, extras))
+        child_base += child.size
+    new_children.extend(extras.get(base, ()))
+    return Tree(tree.color, new_children)
+
+
+def _assignment_counts(a, b):
+    """``{M: n_M}`` by listing graft assignments: each run of m equal
+    components of ``a`` goes to a multiset of targets (-1 for "new
+    component", else a vertex of ``b`` in preorder), which stands for
+    m! / (product of its multiplicities!) ordered assignments."""
+    sites = [(ci, v) for ci, t in enumerate(b.trees) for v in range(t.size)]
+    per_run = []
+    for tree, group in itertools.groupby(a.trees):
+        m = len(list(group))
+        options = []
+        for combo in itertools.combinations_with_replacement(
+            range(-1, b.size), m
+        ):
+            ways = math.factorial(m)
+            for _, same in itertools.groupby(combo):
+                ways //= math.factorial(len(list(same)))
+            options.append((tree, combo, ways))
+        per_run.append(options)
+    counts = Counter()
+    for choice in itertools.product(*per_run):
+        extras = [{} for _ in b.trees]
+        standalone = []
+        n = 1
+        for tree, combo, ways in choice:
+            n *= ways
+            for target in combo:
+                if target < 0:
+                    standalone.append(tree)
+                else:
+                    ci, v = sites[target]
+                    extras[ci].setdefault(v, []).append(tree)
+        components = [
+            _attach(tree, 0, extra) for tree, extra in zip(b.trees, extras)
+        ]
+        counts[Forest(components + standalone)] += n
+    return dict(counts)
+
+
+def test_graft_counts_match_listed_assignments():
+    # The recursion over B shares sub-grafts between pairs; the oracle lists
+    # every multiset of graft sites and builds each M on its own.
+    pairs = 0
+    for ncolors, bound in PRODUCT_UNIVERSES:
+        universe = _forests_upto(ncolors, bound)
+        for a in universe:
+            for b in universe:
+                if a.size + b.size <= bound:
+                    assert _graft_candidates(a, b) == _assignment_counts(
+                        a, b
+                    ), (a, b)
+                    pairs += 1
     assert pairs == 4975
 
 
@@ -218,6 +287,59 @@ def test_antipode_is_an_involution_here():
     # co-commutative Hopf algebras have S * S = id
     for forest in _universe(3):
         assert antipode(antipode(delta(forest))) == delta(forest)
+
+
+# (colors, max vertices) for the closed-form antipode check.
+ANTIPODE_UNIVERSES = ((1, 6), (2, 4), (3, 3))
+
+
+def _parent_array(forest):
+    """Preorder ``(colors, parents)`` of ``forest``; a root's parent is -1."""
+    colors, parents = [], []
+    stack = [(t, -1) for t in reversed(forest.trees)]
+    while stack:
+        tree, parent = stack.pop()
+        here = len(colors)
+        colors.append(tree.color)
+        parents.append(parent)
+        stack.extend((c, here) for c in reversed(tree.children))
+    return colors, parents
+
+
+def _from_parent_array(colors, parents):
+    """The forest with these preorder colors and parents."""
+    kids = [[] for _ in colors]
+    roots = []
+    for v in range(len(colors) - 1, -1, -1):
+        tree = Tree(colors[v], kids[v])
+        (kids[parents[v]] if parents[v] >= 0 else roots).append(tree)
+    return Forest(roots)
+
+
+def test_antipode_closed_form():
+    # The Hall antipode is the transpose of the Connes-Kreimer one, whose
+    # closed form sums over every edge set: the coefficient of delta_M in
+    # S(delta_A) is (-1)^{k(A)} times the number of edge sets c of M with
+    # M - c isomorphic to A.  Counted by edge deletion, with no product.
+    checked = 0
+    for ncolors, bound in ANTIPODE_UNIVERSES:
+        universe = _forests_upto(ncolors, bound)
+        cuts = {a: Counter() for a in universe}
+        for m in universe:
+            colors, parents = _parent_array(m)
+            edges = [v for v, p in enumerate(parents) if p >= 0]
+            for r in range(len(edges) + 1):
+                for c in itertools.combinations(edges, r):
+                    cut = list(parents)
+                    for v in c:
+                        cut[v] = -1
+                    cuts[_from_parent_array(colors, cut)][m] += 1
+        for a in universe:
+            sign = (-1) ** len(a.trees)
+            expected = {m: sign * n for m, n in cuts[a].items()}
+            assert antipode(delta(a)).terms == expected, a
+            checked += len(expected)
+    assert checked == 1466
 
 
 def test_antipode_size_guard():

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from foresthall.linear import LinComb, bilinear, tensor, tensor_mul
+from foresthall.linear import LinComb, bilinear, extend, tensor, tensor_mul
 
 
 def test_zero_coefficients_are_dropped():
@@ -90,3 +90,20 @@ def test_bilinear_merges_like_the_constructor():
     assert prod.terms == {"xz": 2, "zz": Fraction(1, 4)}
     assert type(prod.terms["xz"]) is int
     assert not bilinear(f, g, lambda a, b: LinComb()).terms
+
+
+def test_extend_merges_like_the_constructor():
+    images = {
+        "x": LinComb([("p", 1), ("q", 2)]),
+        "y": LinComb([("q", -4), ("r", Fraction(1, 2))]),
+    }
+    # one basis element with coefficient 1 maps to its image, not a copy
+    assert extend(LinComb.basis("x"), images.get) is images["x"]
+    f = LinComb([("x", 2), ("y", 1)])
+    got = extend(f, images.get)
+    assert got == LinComb(
+        (k, c * v) for key, c in f.items() for k, v in images[key].items()
+    )
+    assert got.terms == {"p": 2, "r": Fraction(1, 2)}  # "q" cancels
+    assert type(got.terms["p"]) is int
+    assert extend(LinComb.basis("x", 3), images.get).terms == {"p": 3, "q": 6}
