@@ -6,13 +6,15 @@ the executable verification suites.  Output is plain text by default or a
 stable JSON document with --json.
 
 Exit codes: 0 success, 1 domain errors (malformed input, unknown colors,
-size guard), 2 usage errors and verification failures.
+size guard) and a reader that closed stdout early, 2 usage errors and
+verification failures.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import verify as verify_mod
@@ -495,7 +497,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         session = _make_session(args)
-        return args.func(session, args)
+        code = args.func(session, args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point it at devnull so that the
+        # interpreter's last flush at exit does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except SizeLimitError as exc:
         print(f"error: {exc} (raise with --max-vertices)", file=sys.stderr)
         return 1

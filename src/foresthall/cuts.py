@@ -14,10 +14,9 @@ from genuinely different cuts stay distinguishable.
 
 The cuts of each tree are memoized per interned tree (``_tree_cuts``); the
 cut list of a forest is rebuilt on every call to ``enumerate_cuts``, and what
-is memoized is what is read off it: the (pruned, root) census and the flag
-counts behind rho_t.  The census is not on the Hall product's path (that
-counts graft orbits); it is the independent oracle that the hall-oracle
-suite and the tests compare the product with.
+is memoized is what is read off it: the flag counts behind rho_t.  The Hall
+product does not read cuts (it counts graft orbits); the hall-oracle suite
+counts cuts by (pruned, root) to cross-check it.
 """
 
 from __future__ import annotations
@@ -29,8 +28,6 @@ from .forest import Forest, Tree, k0_class
 
 __all__ = [
     "enumerate_cuts",
-    "cut_census",
-    "count_cut_pairs",
     "flag_counts",
 ]
 
@@ -77,25 +74,6 @@ def enumerate_cuts(forest: Forest) -> tuple:
         root = Forest(k for _, _, k in combo if k is not None)
         out.append((masks, pruned, root))
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def cut_census(forest: Forest) -> dict:
-    """How many cuts of ``forest`` produce each (pruned, root) pair."""
-    census: dict = {}
-    for _, pruned, root in enumerate_cuts(forest):
-        census[pruned, root] = census.get((pruned, root), 0) + 1
-    return census
-
-
-def count_cut_pairs(m: Forest, a: Forest, b: Forest) -> int:
-    """Number of cuts of ``m`` with pruned part ``a`` and root part ``b``.
-
-    Zero whenever the sizes (hence the classes) cannot add up.
-    """
-    if a.size + b.size != m.size:
-        return 0
-    return cut_census(m).get((a, b), 0)
 
 
 @lru_cache(maxsize=None)

@@ -157,7 +157,11 @@ def forests_of_class(alpha, limit: int | None = None) -> list[Forest]:
 
 
 def trees_of_class(alpha, limit: int | None = None) -> list[Tree]:
-    """All non-isomorphic trees of class alpha, in canonical order."""
+    """All non-isomorphic trees of class alpha, in canonical order.
+
+    The public tree-level enumerator: :func:`forests_of_class` builds its
+    forests as multisets of these trees.
+    """
     alpha = tuple(alpha)
     _check_class(alpha, limit)
     return list(_trees(alpha))

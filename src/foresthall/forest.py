@@ -32,9 +32,6 @@ __all__ = [
     "format_tree",
     "direct_sum",
     "k0_class",
-    "single_vertex",
-    "zero_class",
-    "basis_class",
     "add_classes",
     "format_class",
     "parse_class",
@@ -207,11 +204,6 @@ class Forest:
         return f"Forest({'+'.join(t._plain() for t in self.trees)})"
 
 
-def single_vertex(color: int) -> Forest:
-    """The one-vertex forest in the given color."""
-    return Forest((Tree(color),))
-
-
 def direct_sum(left: Forest, right: Forest) -> Forest:
     """Disjoint union of two forests (multiset union of their components)."""
     return Forest(left.trees + right.trees)
@@ -235,14 +227,6 @@ def k0_class(forest: Forest, ncolors: int) -> tuple[int, ...]:
         counts[tree.color] += 1
         stack.extend(tree.children)
     return tuple(counts)
-
-
-def zero_class(ncolors: int) -> tuple[int, ...]:
-    return (0,) * ncolors
-
-
-def basis_class(color: int, ncolors: int) -> tuple[int, ...]:
-    return tuple(1 if i == color else 0 for i in range(ncolors))
 
 
 def add_classes(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:

@@ -15,10 +15,20 @@ __all__ = ["LinComb", "bilinear", "extend", "tensor", "tensor_mul"]
 _SCALARS = (int, Fraction)
 
 
-def _exact(value):
-    """``value`` as an exact rational: ``int`` when integral, else ``Fraction``."""
-    value = Fraction(value)
-    return value.numerator if value.denominator == 1 else value
+def _normalize(data: dict) -> dict:
+    """Drop the zero values of ``data`` and store the others as exact
+    rationals, integral ones as ``int``, in place."""
+    stale = []
+    for key, c in data.items():
+        if not c or type(c) is not int:
+            stale.append(key)
+    for key in stale:
+        value = Fraction(data[key])
+        if value:
+            data[key] = value.numerator if value.denominator == 1 else value
+        else:
+            del data[key]
+    return data
 
 
 class LinComb:
@@ -37,38 +47,22 @@ class LinComb:
         data: dict = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for key, coeff in items:
-            if type(coeff) is not int:
-                coeff = _exact(coeff)
-            if not coeff:
-                continue
-            acc = data.get(key, 0) + coeff
-            if acc:
-                data[key] = acc if type(acc) is int else _exact(acc)
-            else:
-                del data[key]
-        self.terms = data
+            if type(coeff) not in _SCALARS:
+                coeff = Fraction(coeff)
+            data[key] = data.get(key, 0) + coeff
+        self.terms = _normalize(data)
 
     @classmethod
     def _merged(cls, data: dict) -> "LinComb":
         """Wrap ``data``, whose keys are already merged; the dict is taken
-        over, not copied.
-
-        Zero values are dropped and integral ones stored as ``int``; nothing
-        is re-accumulated.
-        """
-        for key in [k for k, c in data.items() if not c or type(c) is not int]:
-            value = data[key]
-            if value:
-                data[key] = _exact(value)
-            else:
-                del data[key]
+        over, not copied, and normalized like the constructor's."""
         out = cls.__new__(cls)
-        out.terms = data
+        out.terms = _normalize(data)
         return out
 
     @classmethod
     def basis(cls, key, coeff=1) -> "LinComb":
-        return cls(((key, coeff),))
+        return cls._merged({key: coeff})
 
     def coeff(self, key) -> Fraction:
         return Fraction(self.terms.get(key, 0))

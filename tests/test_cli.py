@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -490,3 +491,31 @@ def test_module_entry_point(module, package_env):
     )
     assert result.returncode == 0
     assert result.stdout == "a+b\n"
+
+
+def test_closed_stdout_exits_one_without_traceback(package_env):
+    # the reader is gone before the first write, like `... | head -c 10`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [
+                sys.executable,
+                "-m",
+                "foresthall",
+                "enumerate",
+                "--class",
+                "(5)",
+                "--colors",
+                "a",
+            ],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=package_env,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert "Exception ignored" not in result.stderr

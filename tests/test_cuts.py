@@ -9,12 +9,7 @@ code with the library's slot-product recursion.
 import itertools
 from collections import Counter
 
-from foresthall.cuts import (
-    count_cut_pairs,
-    cut_census,
-    enumerate_cuts,
-    flag_counts,
-)
+from foresthall.cuts import enumerate_cuts, flag_counts
 from foresthall.enumeration import forests_of_class, trees_of_class
 from foresthall.forest import (
     ColorTable,
@@ -102,6 +97,11 @@ def _oracle_census(forest):
     return census
 
 
+def _census(forest):
+    """How many cuts of ``forest`` the library lists per (pruned, root)."""
+    return Counter((p, r) for _, p, r in enumerate_cuts(forest))
+
+
 def _mask_edges(mask):
     return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
 
@@ -117,19 +117,19 @@ def _universe(max_total):
 
 def test_census_matches_oracle_two_colors():
     for forest in _universe(4):
-        assert cut_census(forest) == _oracle_census(forest), forest
+        assert _census(forest) == _oracle_census(forest), forest
 
 
 def test_census_matches_oracle_deeper_single_color():
     for forest in forests_of_class((6,)):
-        assert cut_census(forest) == _oracle_census(forest), forest
+        assert _census(forest) == _oracle_census(forest), forest
 
 
 def test_census_matches_oracle_six_edge_trees():
     # deepest single trees: 7 vertices = 6 edges, 2^6 subsets each
     for tree in trees_of_class((7,)):
         forest = Forest((tree,))
-        assert cut_census(forest) == _oracle_census(forest), forest
+        assert _census(forest) == _oracle_census(forest), forest
 
 
 def test_cut_labels_match_oracle():
@@ -167,7 +167,7 @@ def test_single_vertex_has_two_cuts():
 
 def test_chain_cuts():
     chain = parse_forest("a[b]", AB)
-    census = cut_census(chain)
+    census = _census(chain)
     b, a = parse_forest("b", AB), parse_forest("a", AB)
     assert census == {
         (Forest(), chain): 1,
@@ -180,7 +180,7 @@ def test_three_vertex_example_census():
     forest = parse_forest("a[b,a]", AB)
     got = {
         (_fmt(pruned), _fmt(root)): count
-        for (pruned, root), count in cut_census(forest).items()
+        for (pruned, root), count in _census(forest).items()
     }
     assert got == {
         ("0", "a[a,b]"): 1,
@@ -210,24 +210,18 @@ def test_class_additivity_over_cuts():
             assert add_classes(k0_class(pruned, 2), k0_class(root, 2)) == total
 
 
-def test_count_cut_pairs_orientation():
+def test_census_orientation():
     # pruned part comes first: a[b] splits as (b, a), never (a, b)
-    m = parse_forest("a[b]", AB)
+    census = _census(parse_forest("a[b]", AB))
     a, b = parse_forest("a", AB), parse_forest("b", AB)
-    assert count_cut_pairs(m, b, a) == 1
-    assert count_cut_pairs(m, a, b) == 0
+    assert census[b, a] == 1
+    assert (a, b) not in census
 
 
-def test_count_cut_pairs_multiplicity():
-    two = parse_forest("a+a", AB)
+def test_census_multiplicity():
     one = parse_forest("a", AB)
-    assert count_cut_pairs(two, one, one) == 2
-    assert count_cut_pairs(parse_forest("a[a]", AB), one, one) == 1
-
-
-def test_count_cut_pairs_size_mismatch_is_zero():
-    one = parse_forest("a", AB)
-    assert count_cut_pairs(one, one, one) == 0
+    assert _census(parse_forest("a+a", AB))[one, one] == 2
+    assert _census(parse_forest("a[a]", AB))[one, one] == 1
 
 
 def test_empty_forest_has_one_cut():

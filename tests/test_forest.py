@@ -11,15 +11,12 @@ from foresthall.forest import (
     ParseError,
     Tree,
     add_classes,
-    basis_class,
     direct_sum,
     format_class,
     format_forest,
     k0_class,
     parse_class,
     parse_forest,
-    single_vertex,
-    zero_class,
 )
 
 AB = ColorTable(("a", "b"))
@@ -48,7 +45,7 @@ def test_parse_empty_forest():
 
 def test_parse_basic_shapes():
     leaf = parse_forest("a", AB)
-    assert leaf == single_vertex(0)
+    assert leaf == Forest((Tree(0),))
     assert leaf.size == 1
 
     nested = parse_forest("a[b,a]", AB)
@@ -120,17 +117,17 @@ def test_k0_class_examples():
     assert k0_class(Forest(), 2) == (0, 0)
     assert k0_class(parse_forest("a[b]", AB), 2) == (1, 1)
     assert k0_class(parse_forest("a[b,a]", AB), 2) == (2, 1)
-    assert k0_class(single_vertex(1), 2) == (0, 1)
+    assert k0_class(Forest((Tree(1),)), 2) == (0, 1)
     with pytest.raises(ValueError):
-        k0_class(single_vertex(3), 2)
+        k0_class(Forest((Tree(3),)), 2)
 
 
 def test_direct_sum():
-    one = single_vertex(0)
+    one = Forest((Tree(0),))
     assert format_forest(direct_sum(one, one), AB) == "a+a"
     assert direct_sum(one, Forest()) == one
     assert direct_sum(Forest(), one) == one
-    mixed = direct_sum(parse_forest("a[b]", AB), single_vertex(0))
+    mixed = direct_sum(parse_forest("a[b]", AB), one)
     assert format_forest(mixed, AB) == "a+a[b]"
 
 
@@ -149,8 +146,6 @@ def test_direct_sum_class_additivity():
 
 
 def test_class_helpers():
-    assert zero_class(3) == (0, 0, 0)
-    assert basis_class(1, 3) == (0, 1, 0)
     assert add_classes((1, 2), (3, 4)) == (4, 6)
     with pytest.raises(ValueError):
         add_classes((1,), (1, 2))

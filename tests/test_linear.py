@@ -107,3 +107,11 @@ def test_extend_merges_like_the_constructor():
     assert got.terms == {"p": 2, "r": Fraction(1, 2)}  # "q" cancels
     assert type(got.terms["p"]) is int
     assert extend(LinComb.basis("x", 3), images.get).terms == {"p": 3, "q": 6}
+
+
+def test_float_coefficients_are_exact_per_term():
+    # each float enters as its exact binary value before the terms are summed
+    elem = LinComb([("x", 0.1), ("x", 0.2)])
+    assert elem.terms == {"x": Fraction(0.1) + Fraction(0.2)}
+    assert elem.coeff("x") != Fraction(0.1 + 0.2)
+    assert type(LinComb([("x", 0.5), ("x", 0.5)]).terms["x"]) is int
