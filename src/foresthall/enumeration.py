@@ -69,7 +69,7 @@ def _trees(alpha: tuple[int, ...]) -> tuple[Tree, ...]:
     out = []
     for s, count in enumerate(alpha):
         if count:
-            for forest in _forests(_decrement(alpha, s)):
+            for forest in _forests_bounded(_decrement(alpha, s), None):
                 out.append(Tree(s, forest.trees))
     out.sort(key=lambda t: t.key)
     return tuple(out)
@@ -94,11 +94,6 @@ def _forests_bounded(alpha: tuple[int, ...], bound) -> tuple[Forest, ...]:
                 out.append(Forest((tree,) + rest.trees))
     out.sort(key=lambda f: f.key)
     return tuple(out)
-
-
-@cache
-def _forests(alpha: tuple[int, ...]) -> tuple[Forest, ...]:
-    return _forests_bounded(alpha, None)
 
 
 @cache
@@ -153,7 +148,7 @@ def forests_of_class(alpha, limit: int | None = None) -> list[Forest]:
     """
     alpha = tuple(alpha)
     _check_class(alpha, limit)
-    return list(_forests(alpha))
+    return list(_forests_bounded(alpha, None))
 
 
 def trees_of_class(alpha, limit: int | None = None) -> list[Tree]:

@@ -239,22 +239,36 @@ def format_class(alpha) -> str:
 
 def parse_class(text: str, ncolors: int | None = None) -> tuple[int, ...]:
     """Parse a class vector like ``(2,1)``; entries must be non-negative."""
-    stripped = text.strip()
+    return _class_at(text, 0, len(text), ncolors)
+
+
+def _class_at(text: str, start: int, end: int, ncolors, nonzero_in=None):
+    """Parse the class vector ``text[start:end]``, refusing the zero class
+    when ``nonzero_in`` names where it stands; error positions are offsets
+    into ``text``."""
+    piece = text[start:end]
+    at = start + len(piece) - len(piece.lstrip())
+    stripped = piece.strip()
     if not stripped.startswith("(") or not stripped.endswith(")"):
-        raise ParseError("class vector must be parenthesized, e.g. (2,1)", 0)
+        raise ParseError("class vector must be parenthesized, e.g. (2,1)", at)
     entries = []
-    for piece in stripped[1:-1].split(","):
-        piece = piece.strip()
-        if not piece.isdigit():
+    pos = at + 1
+    for entry in stripped[1:-1].split(","):
+        digits = entry.strip()
+        if not digits.isdecimal():
             raise ParseError(
-                f"class entries must be non-negative integers, got {piece!r}",
-                text.find(piece) if piece else 1,
+                f"class entries must be non-negative integers, got {digits!r}",
+                pos + len(entry) - len(entry.lstrip()),
             )
-        entries.append(int(piece))
+        entries.append(int(digits))
+        pos += len(entry) + 1
     if ncolors is not None and len(entries) != ncolors:
         raise ParseError(
-            f"class vector has {len(entries)} entries, expected {ncolors}", 0
+            f"class vector has {len(entries)} entries, expected {ncolors}",
+            at,
         )
+    if nonzero_in and not any(entries):
+        raise ParseError(f"the zero class cannot appear in {nonzero_in}", at)
     return tuple(entries)
 
 

@@ -166,7 +166,8 @@ def hall_comul(f: LinComb) -> LinComb:
 def kappa(alpha, limit: int | None = None) -> LinComb:
     """Characteristic function of a class: the sum of delta_F over every
     forest F of class ``alpha``.  kappa of the zero class is the unit."""
-    return LinComb((f, 1) for f in forests_of_class(alpha, limit))
+    # forests_of_class lists each isomorphism class once.
+    return LinComb._merged({f: 1 for f in forests_of_class(alpha, limit)})
 
 
 def counit(f: LinComb) -> Fraction:
@@ -183,17 +184,16 @@ def antipode(f: LinComb, limit: int | None = None) -> LinComb:
 
 @lru_cache(maxsize=None)
 def _antipode_delta(a: Forest) -> LinComb:
-    # S(x) = -x - sum S(x') x'' over the reduced coproduct; terminates
-    # because both tensor legs of every reduced term are strictly smaller.
+    # S(x) = -sum S(x') x'' over the terms (x', x'') of the coproduct with
+    # x'' nonempty; (empty, x) gives the -x.  Terminates because x' is
+    # strictly smaller in every other term.
     if a.size == 0:
         return LinComb.basis(a)
-    terms = [(a, -1)]
-    for (left, right), c in _delta_comul(a).terms.items():
-        if left.size == 0 or right.size == 0:
-            continue
-        product = hall_mul(_antipode_delta(left), LinComb.basis(right))
-        terms.extend((k, -c * v) for k, v in product.terms.items())
-    return LinComb(terms)
+    reduced = {p: c for p, c in _delta_comul(a).terms.items() if p[1]}
+    return -extend(
+        LinComb._merged(reduced),
+        lambda p: hall_mul(_antipode_delta(p[0]), delta(p[1])),
+    )
 
 
 def ck_mul(a: Forest, b: Forest) -> Forest:

@@ -4,6 +4,10 @@ Coefficients are stored as ``int`` where integral and as ``Fraction``
 otherwise; ``LinComb.coeff`` always returns a ``Fraction``.  Most structure
 constants here are integers, and int arithmetic is far cheaper than
 building ``Fraction`` objects.
+
+A map is built from its values on basis keys: by ``bilinear`` or ``extend``
+where keys can repeat, each accumulating into one dict, and as one dict
+wrapped by ``LinComb._merged`` where its keys are distinct by construction.
 """
 
 from __future__ import annotations
@@ -89,17 +93,16 @@ class LinComb:
     def __sub__(self, other: "LinComb") -> "LinComb":
         if not isinstance(other, LinComb):
             return NotImplemented
-        merged = list(self.terms.items())
-        merged.extend((k, -c) for k, c in other.terms.items())
-        return LinComb(merged)
+        return self + -other
 
     def __neg__(self) -> "LinComb":
-        return LinComb((k, -c) for k, c in self.terms.items())
+        return LinComb._merged({k: -c for k, c in self.terms.items()})
 
     def __mul__(self, scalar) -> "LinComb":
+        # Keeps self's keys; _normalize drops the zeros of a zero scalar.
         if not isinstance(scalar, _SCALARS):
             return NotImplemented
-        return LinComb((k, c * scalar) for k, c in self.terms.items())
+        return LinComb._merged({k: c * scalar for k, c in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -137,10 +140,9 @@ def extend(f: LinComb, image) -> LinComb:
 
 def tensor(f: LinComb, g: LinComb) -> LinComb:
     """Simple tensor f (x) g as a combination keyed by (left, right) pairs."""
-    return LinComb(
-        ((a, b), ca * cb)
-        for a, ca in f.terms.items()
-        for b, cb in g.terms.items()
+    right = g.terms.items()
+    return LinComb._merged(
+        {(a, b): ca * cb for a, ca in f.terms.items() for b, cb in right}
     )
 
 
@@ -149,13 +151,7 @@ def tensor_mul(t1: LinComb, t2: LinComb, left_mul, right_mul) -> LinComb:
 
     ``left_mul``/``right_mul`` are basis-level products returning LinComb.
     """
-    out = []
-    for (a, b), c1 in t1.terms.items():
-        for (x, y), c2 in t2.terms.items():
-            scale = c1 * c2
-            left = left_mul(a, x)
-            right = right_mul(b, y)
-            for kl, cl in left.terms.items():
-                for kr, cr in right.terms.items():
-                    out.append(((kl, kr), scale * cl * cr))
-    return LinComb(out)
+    def pair_mul(p, q):
+        return tensor(left_mul(p[0], q[0]), right_mul(p[1], q[1]))
+
+    return bilinear(t1, t2, pair_mul)

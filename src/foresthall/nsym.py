@@ -18,9 +18,9 @@ import math
 from functools import lru_cache
 
 from .enumeration import SizeLimitError, check_size
-from .forest import Forest, ParseError, add_classes, format_class, parse_class
+from .forest import Forest, _class_at, add_classes, format_class
 from .hall import hall_mul, kappa
-from .linear import LinComb, extend
+from .linear import LinComb, bilinear, extend
 
 __all__ = [
     "nsym_mul",
@@ -46,11 +46,7 @@ def word_degree(word: Word, ncolors: int) -> tuple[int, ...]:
 
 def nsym_mul(f: LinComb, g: LinComb) -> LinComb:
     """Concatenation product, extended bilinearly."""
-    out = []
-    for u, cu in f.terms.items():
-        for v, cv in g.terms.items():
-            out.append((u + v, cu * cv))
-    return LinComb(out)
+    return bilinear(f, g, lambda u, v: LinComb.basis(u + v))
 
 
 def _letter_splits(gamma):
@@ -164,12 +160,12 @@ def js(n: int, weights, limit: int | None = None) -> LinComb:
         if _weight_may_be_reachable(n, weights):
             raise
         return LinComb()
-    terms = []
+    terms = {}  # each class is met once
     for alpha in itertools.product(*(range(n // w + 1) for w in weights)):
         if sum(a * w for a, w in zip(alpha, weights)) == n:
             check_size(f"class {format_class(alpha)}", sum(alpha), limit)
-            terms.append(((alpha,) if any(alpha) else (), 1))
-    return LinComb(terms)
+            terms[(alpha,) if any(alpha) else ()] = 1
+    return LinComb._merged(terms)
 
 
 def rho_js(n: int, weights, limit: int | None = None) -> LinComb:
@@ -186,13 +182,11 @@ def format_word(word: Word) -> str:
 
 def parse_word(text: str, ncolors: int | None = None) -> Word:
     """Parse ``(1,1)|(1,0)`` style words; ``1`` is the empty word."""
-    stripped = text.strip()
-    if stripped == "1":
+    if text.strip() == "1":
         return ()
-    letters = []
-    for piece in stripped.split("|"):
-        letter = parse_class(piece, ncolors)
-        if not any(letter):
-            raise ParseError("the zero class cannot appear in a word", 0)
-        letters.append(letter)
+    letters, start = [], 0
+    for piece in text.split("|"):
+        end = start + len(piece)
+        letters.append(_class_at(text, start, end, ncolors, "a word"))
+        start = end + 1
     return tuple(letters)

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from .cuts import flag_counts
 from .enumeration import check_size
-from .forest import Forest, ParseError, add_classes, format_class, parse_class
+from .forest import Forest, ParseError, _class_at, add_classes, format_class
 from .linear import LinComb, bilinear
 from .nsym import word_degree
 
@@ -69,11 +69,12 @@ def quasi_shuffle(f: LinComb, g: LinComb) -> LinComb:
 def deconcat(f: LinComb) -> LinComb:
     """Deconcatenation coproduct: a k-part composition splits at each of the
     k+1 positions."""
-    out = []
+    # A split (comp[:i], comp[i:]) determines both comp and i.
+    splits = {}
     for comp, c in f.terms.items():
         for i in range(len(comp) + 1):
-            out.append(((comp[:i], comp[i:]), c))
-    return LinComb(out)
+            splits[(comp[:i], comp[i:])] = c
+    return LinComb._merged(splits)
 
 
 def pair(z: LinComb, x: LinComb) -> Fraction:
@@ -107,14 +108,15 @@ def format_composition(comp: Composition) -> str:
 def parse_composition(text: str, ncolors: int | None = None) -> Composition:
     """Parse ``Z[(2,1),(1,0)]`` style compositions; ``Z[]`` is the unit."""
     stripped = text.strip()
+    start = len(text) - len(text.lstrip())
     if not stripped.startswith("Z[") or not stripped.endswith("]"):
-        raise ParseError("composition must look like Z[(2,1),(1,0)]", 0)
-    inner = stripped[2:-1].strip()
-    if not inner:
+        raise ParseError("composition must look like Z[(2,1),(1,0)]", start)
+    start, close = start + 2, text.rindex("]")
+    if not text[start:close].strip():
         return ()
-    pieces = []
-    depth, start = 0, 0
-    for i, ch in enumerate(inner):
+    spans, depth = [], 0
+    for i in range(start, close):
+        ch = text[i]
         if ch == "(":
             depth += 1
         elif ch == ")":
@@ -122,15 +124,11 @@ def parse_composition(text: str, ncolors: int | None = None) -> Composition:
             if depth < 0:
                 raise ParseError("unbalanced parentheses in composition", i)
         elif ch == "," and depth == 0:
-            pieces.append(inner[start:i])
+            spans.append((start, i))
             start = i + 1
     if depth:
-        raise ParseError("unbalanced parentheses in composition", len(inner))
-    pieces.append(inner[start:])
-    parts = []
-    for piece in pieces:
-        part = parse_class(piece, ncolors)
-        if not any(part):
-            raise ParseError("the zero class cannot appear in a composition", 0)
-        parts.append(part)
-    return tuple(parts)
+        raise ParseError("unbalanced parentheses in composition", close)
+    spans.append((start, close))
+    return tuple(
+        _class_at(text, s, e, ncolors, "a composition") for s, e in spans
+    )

@@ -18,6 +18,8 @@ from foresthall.forest import (
     parse_class,
     parse_forest,
 )
+from foresthall.nsym import parse_word
+from foresthall.qsym import parse_composition
 
 AB = ColorTable(("a", "b"))
 A = ColorTable(("a",))
@@ -111,6 +113,19 @@ def test_parse_error_positions():
     with pytest.raises(ParseError) as err:
         parse_forest("a+*", AB)
     assert err.value.position == 2
+    # Positions inside words, compositions and classes are offsets into
+    # the whole text, not into the piece that held the error.
+    for parse, text, position in [
+        (lambda t: parse_word(t, 2), "(1,0)|(1,x)", 9),
+        (lambda t: parse_composition(t, 2), "Z[(1,0),(0,y)]", 11),
+        (lambda t: parse_word(t, 2), "(1,0)|(0,0)", 6),
+        (lambda t: parse_composition(t, 2), "Z[(1,0), (0,0)]", 9),
+        (parse_class, "(1,,2)", 3),
+        (parse_class, "(1,\u00b2)", 3),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.position == position, text
 
 
 def test_k0_class_examples():

@@ -65,6 +65,20 @@ def test_bilinear_and_tensor():
     )
     assert tm.terms == {("xy", "yx"): 36}
 
+    # Two pair products land on ("xy", "xy"), and sum or cancel there.
+    def sort_mul(a, b):
+        return LinComb.basis("".join(sorted(a + b)))
+
+    xy, yx = LinComb.basis(("x", "y")), LinComb.basis(("y", "x"))
+    tm = tensor_mul(xy + yx, yx + xy, sort_mul, sort_mul)
+    assert tm.terms == {("xy", "xy"): 2, ("xx", "yy"): 1, ("yy", "xx"): 1}
+    tm = tensor_mul(xy - yx, yx + xy, sort_mul, sort_mul)
+    assert tm.terms == {("xx", "yy"): 1, ("yy", "xx"): -1}
+
+    half = tensor(LinComb.basis("x", Fraction(1, 2)), LinComb.basis("y", 4))
+    assert half.terms == {("x", "y"): 2}
+    assert type(half.terms[("x", "y")]) is int
+
 
 def test_bilinear_merges_like_the_constructor():
     # "xx" cancels, "xz" sums two halves to an int, "zz" stays a Fraction

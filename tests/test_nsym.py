@@ -57,6 +57,15 @@ def test_mul_is_concatenation():
     assert prod == _w((1, 0), (0, 1), (2, 0))
     assert nsym_mul(_w(), _w((1, 1))) == _w((1, 1))
     assert nsym_mul(2 * _w((1, 0)), 3 * _w((0, 1))) == 6 * _w((1, 0), (0, 1))
+    # Two products of words concatenate to the same word.
+    prod = nsym_mul(
+        _w((1, 0)) + _w((1, 0), (0, 1)), _w((0, 1), (1, 1)) + _w((1, 1))
+    )
+    assert prod.terms == {
+        ((1, 0), (0, 1), (1, 1)): 2,
+        ((1, 0), (1, 1)): 1,
+        ((1, 0), (0, 1), (0, 1), (1, 1)): 1,
+    }
 
 
 def test_mul_is_associative_small():

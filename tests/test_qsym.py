@@ -98,6 +98,11 @@ def test_deconcat():
     assert got == expect
     assert deconcat(_z()) == LinComb.basis(((), ()))
     assert len(deconcat(_z((1, 0), (1, 0), (1, 0))).terms) == 4
+    half = deconcat(Fraction(1, 2) * _z((1, 0)))
+    assert half.terms == {
+        ((), ((1, 0),)): Fraction(1, 2),
+        (((1, 0),), ()): Fraction(1, 2),
+    }
 
 
 def test_deconcat_is_coassociative():
