@@ -80,7 +80,7 @@ def _parse_weight_list(text: str) -> list[tuple[str, int]]:
     for piece in text.split(","):
         name, eq, value = piece.partition("=")
         name, value = name.strip(), value.strip()
-        if not eq or not value.isdigit():
+        if not eq or not value.isdecimal():
             raise CliError(
                 f"bad weight entry {piece!r}; expected name=positive-integer"
             )

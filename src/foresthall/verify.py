@@ -1,12 +1,15 @@
 """Identity suites checked exactly over bounded universes of forests.
 
-Every suite enumerates its instances in a fixed order (total vertex count
-first, then canonical serialization), compares both sides of an identity
-term by term with exact rationals, and reports any counterexample in full.
-Instances are enumerated smallest first, so the first failure in a report is
-a minimal one.  Each side of an identity is built once per run (a forest's
-coproduct, antipode or rho_t image, a class's rho images, the adjoint of
-the word coproduct), and an instance is named only when its check fails.
+Every suite only states its identities: it yields one check per instance,
+in a fixed order (total vertex count first, then canonical serialization),
+as the instance's lazy name and both sides.  One runner counts the checks,
+compares the two sides term by term with exact rationals, and reports any
+counterexample in full.  Instances are enumerated smallest first, so the
+first failure in a report is a minimal one.  Each side of an identity is
+built once per run (a forest's coproduct, antipode or rho_t image, a
+class's rho images, the adjoint of the word coproduct), a side that applies
+the library's own maps to a combination is built by ``extend``, and an
+instance is named only when its check fails.
 
 The hall-oracle suite is the designated cross-check of the product: it
 recomputes every structure constant by counting the cuts of each forest of
@@ -22,7 +25,7 @@ from functools import lru_cache
 
 from . import cuts, enumeration, hall, nsym, qsym
 from .forest import ColorTable, Forest, format_class, format_forest
-from .linear import LinComb, tensor, tensor_mul
+from .linear import LinComb, extend, tensor, tensor_mul
 
 __all__ = ["SUITE_NAMES", "run_suite", "run_all"]
 
@@ -61,42 +64,53 @@ def _words_of_degree(gamma: tuple[int, ...]) -> tuple:
     return tuple(out)
 
 
-def _new_report(name: str, colors: ColorTable, bound: int) -> dict:
-    return {
-        "suite": name,
-        "colors": list(colors.names),
-        "bound": bound,
-        "checked": 0,
-        "failures": [],
-    }
+_SUITES: dict = {}
 
 
-def _fmt_terms(elem: LinComb, fmt_key) -> dict:
+def _fmt_side(side, fmt_key):
+    """A scalar side as its string, a combination as sorted formatted terms."""
+    if fmt_key is None:
+        return str(side)
     return {
         s: str(c)
-        for s, c in sorted((fmt_key(k), c) for k, c in elem.terms.items())
+        for s, c in sorted((fmt_key(k), c) for k, c in side.terms.items())
     }
 
 
-def _check(report, name, lhs: LinComb, rhs: LinComb, fmt_key) -> None:
-    """Count one check; ``name()`` gives the instance's name on failure."""
-    report["checked"] += 1
-    if lhs != rhs:
-        report["failures"].append(
-            {
-                "instance": name(),
-                "lhs": _fmt_terms(lhs, fmt_key),
-                "rhs": _fmt_terms(rhs, fmt_key),
+def _suite(name: str):
+    """Register a generator of checks ``(instance, lhs, rhs, fmt_key)`` as
+    the suite ``name``: the registered callable runs every check and returns
+    the report.  ``fmt_key`` formats a combination's keys, or is ``None``
+    for scalar sides."""
+
+    def register(checks):
+        def run(colors: ColorTable, bound: int, weights) -> dict:
+            report = {
+                "suite": name,
+                "colors": list(colors.names),
+                "bound": bound,
+                "checked": 0,
+                "failures": [],
             }
-        )
+            for instance, lhs, rhs, fmt_key in checks(colors, bound, weights):
+                report["checked"] += 1
+                if lhs != rhs:
+                    # The generator is suspended at this check's yield, so
+                    # the loop variables instance() closes over still hold
+                    # the failing instance.
+                    report["failures"].append(
+                        {
+                            "instance": instance(),
+                            "lhs": _fmt_side(lhs, fmt_key),
+                            "rhs": _fmt_side(rhs, fmt_key),
+                        }
+                    )
+            return report
 
+        _SUITES[name] = run
+        return checks
 
-def _check_scalar(report, name, lhs, rhs) -> None:
-    report["checked"] += 1
-    if lhs != rhs:
-        report["failures"].append(
-            {"instance": name(), "lhs": str(lhs), "rhs": str(rhs)}
-        )
+    return register
 
 
 def _fmt_forest(colors):
@@ -117,11 +131,11 @@ def _fmt_comp_pair(p):
     )
 
 
-def _suite_theorem1(colors, bound, weights) -> dict:
+@_suite("theorem1")
+def _suite_theorem1(colors, bound, weights):
     """hall_comul(kappa_gamma) = sum over alpha+beta=gamma of
     kappa_alpha (x) kappa_beta."""
     nc = len(colors)
-    report = _new_report("theorem1", colors, bound)
     for gamma in _classes_upto(nc, bound):
         lhs = hall.hall_comul(hall.kappa(gamma, limit=bound))
         terms = []
@@ -130,23 +144,20 @@ def _suite_theorem1(colors, bound, weights) -> dict:
             for fa in enumeration.forests_of_class(alpha, limit=bound):
                 for fb in enumeration.forests_of_class(beta, limit=bound):
                     terms.append(((fa, fb), 1))
-        rhs = LinComb(terms)
-        _check(
-            report,
+        yield (
             lambda: f"gamma={format_class(gamma)}",
             lhs,
-            rhs,
+            LinComb(terms),
             _fmt_forest_tensor(colors),
         )
-    return report
 
 
-def _suite_theorem2(colors, bound, weights) -> dict:
+@_suite("theorem2")
+def _suite_theorem2(colors, bound, weights):
     """The flag expansion is the transpose of rho: the coefficient of the
     composition w in rho_t(W_A) equals the coefficient of delta_A in
     rho(word w), for every forest A and word w of matching degree."""
     nc = len(colors)
-    report = _new_report("theorem2", colors, bound)
     for gamma in _classes_upto(nc, bound):
         words = _words_of_degree(gamma)
         # columns[A][w] is the coefficient of delta_A in rho(word w)
@@ -158,40 +169,42 @@ def _suite_theorem2(colors, bound, weights) -> dict:
             expansion = qsym.rho_t(a, nc, limit=bound).terms
             column = columns.get(a, {})
             for w in words:
-                _check_scalar(
-                    report,
+                yield (
                     lambda: f"A={format_forest(a, colors)} "
                     f"word={nsym.format_word(w)}",
                     expansion.get(w, 0),
                     column.get(w, 0),
+                    None,
                 )
-    return report
 
 
-def _suite_js_split(colors, bound, weights) -> dict:
+@_suite("js-split")
+def _suite_js_split(colors, bound, weights):
     """nsym_comul(js_n) = sum over i+j=n of js_i (x) js_j."""
     nc = len(colors)
     ws = weights if weights is not None else (1,) * nc
-    report = _new_report("js-split", colors, bound)
+
+    def js(i):
+        return nsym.js(i, ws, limit=bound)
+
     for n in range(bound + 1):
-        lhs = nsym.nsym_comul(nsym.js(n, ws, limit=bound))
-        terms = []
-        for i in range(n + 1):
-            split = tensor(
-                nsym.js(i, ws, limit=bound), nsym.js(n - i, ws, limit=bound)
-            )
-            terms.extend(split.terms.items())
-        rhs = LinComb(terms)
-        _check(report, lambda: f"n={n} weights={ws}", lhs, rhs, _fmt_word_pair)
-    return report
+        yield (
+            lambda: f"n={n} weights={ws}",
+            nsym.nsym_comul(js(n)),
+            extend(
+                LinComb((i, 1) for i in range(n + 1)),
+                lambda i: tensor(js(i), js(n - i)),
+            ),
+            _fmt_word_pair,
+        )
 
 
-def _suite_hall_oracle(colors, bound, weights) -> dict:
+@_suite("hall-oracle")
+def _suite_hall_oracle(colors, bound, weights):
     """Every product delta_A * delta_B agrees with the brute-force route:
     the coefficient of delta_M is the number of cuts of M with pruned part A
     and root part B, counted by listing the cuts of every forest M once."""
     nc = len(colors)
-    report = _new_report("hall-oracle", colors, bound)
     universe = _forests_upto(nc, bound)
     fmt = _fmt_forest(colors)
     # census[(A, B)][M] is the number of cuts of M into (A, B)
@@ -204,62 +217,49 @@ def _suite_hall_oracle(colors, bound, weights) -> dict:
         for b in universe:
             if a.size + b.size > bound:
                 continue
-            _check(
-                report,
+            yield (
                 lambda: f"A={fmt(a)} B={fmt(b)}",
                 hall.hall_mul(hall.delta(a), hall.delta(b)),
                 LinComb(census.get((a, b), {})),
                 fmt,
             )
-    return report
 
 
-def _suite_counts(colors, bound, weights) -> dict:
+@_suite("counts")
+def _suite_counts(colors, bound, weights):
     """The orderly generator and the Euler-transform counter agree."""
     nc = len(colors)
-    report = _new_report("counts", colors, bound)
     for alpha in _classes_upto(nc, bound):
-        generated = len(enumeration.forests_of_class(alpha, limit=bound))
-        counted = enumeration.count_forests_of_class(alpha, limit=bound)
-        _check_scalar(
-            report, lambda: f"alpha={format_class(alpha)}", generated, counted
+        yield (
+            lambda: f"alpha={format_class(alpha)}",
+            len(enumeration.forests_of_class(alpha, limit=bound)),
+            enumeration.count_forests_of_class(alpha, limit=bound),
+            None,
         )
-    return report
 
 
-def _suite_hopf_axioms(colors, bound, weights) -> dict:
+@_suite("hopf-axioms")
+def _suite_hopf_axioms(colors, bound, weights):
     """Associativity, coassociativity, co-commutativity, counit laws,
     bialgebra compatibility, and the antipode identity, on the delta basis."""
     nc = len(colors)
-    report = _new_report("hopf-axioms", colors, bound)
     universe = _forests_upto(nc, bound)
     fmt = _fmt_forest(colors)
     fmt_tensor = _fmt_forest_tensor(colors)
+    delta, counit, hall_mul = hall.delta, hall.counit, hall.hall_mul
     empty = LinComb.basis(Forest())
-    comul = {f: hall.hall_comul(hall.delta(f)) for f in universe}
-    antipode = {f: hall.antipode(hall.delta(f), limit=bound) for f in universe}
+    comul = {f: hall.hall_comul(delta(f)) for f in universe}
+    antipode = {f: hall.antipode(delta(f), limit=bound) for f in universe}
 
     def delta_mul(x, y):
-        return hall.hall_mul(hall.delta(x), hall.delta(y))
+        return hall_mul(delta(x), delta(y))
 
     for a in universe:
-        da, split = hall.delta(a), comul[a]
+        da, split = delta(a), comul[a]
 
         # unit laws
-        _check(
-            report,
-            lambda: f"unit-left A={fmt(a)}",
-            hall.hall_mul(empty, da),
-            da,
-            fmt,
-        )
-        _check(
-            report,
-            lambda: f"unit-right A={fmt(a)}",
-            hall.hall_mul(da, empty),
-            da,
-            fmt,
-        )
+        yield lambda: f"unit-left A={fmt(a)}", hall_mul(empty, da), da, fmt
+        yield lambda: f"unit-right A={fmt(a)}", hall_mul(da, empty), da, fmt
 
         # coassociativity
         left_terms, right_terms = [], []
@@ -268,8 +268,7 @@ def _suite_hopf_axioms(colors, bound, weights) -> dict:
                 left_terms.append(((u, v, y), c * d))
             for (u, v), d in comul[y].terms.items():
                 right_terms.append(((x, u, v), c * d))
-        _check(
-            report,
+        yield (
             lambda: f"coassoc A={fmt(a)}",
             LinComb(left_terms),
             LinComb(right_terms),
@@ -278,43 +277,33 @@ def _suite_hopf_axioms(colors, bound, weights) -> dict:
 
         # co-commutativity
         flipped = LinComb(((y, x), c) for (x, y), c in split.terms.items())
-        _check(
-            report, lambda: f"cocomm A={fmt(a)}", split, flipped, fmt_tensor
-        )
+        yield lambda: f"cocomm A={fmt(a)}", split, flipped, fmt_tensor
 
         # counit laws
-        left_counit = LinComb(
-            (y, c * hall.counit(hall.delta(x)))
-            for (x, y), c in split.terms.items()
+        yield (
+            lambda: f"counit-left A={fmt(a)}",
+            extend(split, lambda p: counit(delta(p[0])) * delta(p[1])),
+            da,
+            fmt,
         )
-        right_counit = LinComb(
-            (x, c * hall.counit(hall.delta(y)))
-            for (x, y), c in split.terms.items()
-        )
-        _check(report, lambda: f"counit-left A={fmt(a)}", left_counit, da, fmt)
-        _check(
-            report, lambda: f"counit-right A={fmt(a)}", right_counit, da, fmt
+        yield (
+            lambda: f"counit-right A={fmt(a)}",
+            extend(split, lambda p: delta(p[0]) * counit(delta(p[1]))),
+            da,
+            fmt,
         )
 
         # antipode: m(S (x) id)Delta = unit . counit = m(id (x) S)Delta
-        eps_side = hall.counit(da) * empty
-        s_left, s_right = [], []
-        for (x, y), c in split.terms.items():
-            left = hall.hall_mul(antipode[x], hall.delta(y))
-            right = hall.hall_mul(hall.delta(x), antipode[y])
-            s_left.extend((k, c * v) for k, v in left.terms.items())
-            s_right.extend((k, c * v) for k, v in right.terms.items())
-        _check(
-            report,
+        eps_side = counit(da) * empty
+        yield (
             lambda: f"antipode-left A={fmt(a)}",
-            LinComb(s_left),
+            extend(split, lambda p: hall_mul(antipode[p[0]], delta(p[1]))),
             eps_side,
             fmt,
         )
-        _check(
-            report,
+        yield (
             lambda: f"antipode-right A={fmt(a)}",
-            LinComb(s_right),
+            extend(split, lambda p: hall_mul(delta(p[0]), antipode[p[1]])),
             eps_side,
             fmt,
         )
@@ -323,12 +312,11 @@ def _suite_hopf_axioms(colors, bound, weights) -> dict:
         for b in universe:
             if a.size + b.size > bound:
                 continue
-            da, db = hall.delta(a), hall.delta(b)
-            ab = hall.hall_mul(da, db)
+            da, db = delta(a), delta(b)
+            ab = hall_mul(da, db)
 
             # bialgebra compatibility
-            _check(
-                report,
+            yield (
                 lambda: f"compat A={fmt(a)} B={fmt(b)}",
                 hall.hall_comul(ab),
                 tensor_mul(comul[a], comul[b], delta_mul, delta_mul),
@@ -338,21 +326,20 @@ def _suite_hopf_axioms(colors, bound, weights) -> dict:
             for c3 in universe:
                 if a.size + b.size + c3.size > bound:
                     continue
-                _check(
-                    report,
+                yield (
                     lambda: f"assoc A={fmt(a)} B={fmt(b)} C={fmt(c3)}",
-                    hall.hall_mul(ab, hall.delta(c3)),
-                    hall.hall_mul(da, hall.hall_mul(db, hall.delta(c3))),
+                    hall_mul(ab, delta(c3)),
+                    hall_mul(da, hall_mul(db, delta(c3))),
                     fmt,
                 )
-    return report
 
 
-def _suite_dual_pair(colors, bound, weights) -> dict:
+@_suite("dual-pair")
+def _suite_dual_pair(colors, bound, weights):
     """The pairing is a duality: <ab, v> = <a (x) b, comul v> and
     <deconcat a, v (x) w> = <a, vw>."""
     nc = len(colors)
-    report = _new_report("dual-pair", colors, bound)
+    fmt = qsym.format_composition
     comps_by_total = [
         [
             comp
@@ -372,18 +359,15 @@ def _suite_dual_pair(colors, bound, weights) -> dict:
         for tb in range(bound + 1 - ta):
             for a in comps_by_total[ta]:
                 for b in comps_by_total[tb]:
-                    _check(
-                        report,
-                        lambda: f"mul-adjoint a={qsym.format_composition(a)} "
-                        f"b={qsym.format_composition(b)}",
+                    yield (
+                        lambda: f"mul-adjoint a={fmt(a)} b={fmt(b)}",
                         qsym.quasi_shuffle(LinComb.basis(a), LinComb.basis(b)),
                         LinComb(adjoint.get((a, b), ())),
-                        qsym.format_composition,
+                        fmt,
                     )
 
     for total in range(bound + 1):
         for a in comps_by_total[total]:
-            lhs = qsym.deconcat(LinComb.basis(a))
             rhs_terms = []
             for i in range(len(a) + 1):
                 v, w = a[:i], a[i:]
@@ -391,21 +375,19 @@ def _suite_dual_pair(colors, bound, weights) -> dict:
                     LinComb.basis(v), LinComb.basis(w)
                 ) == LinComb.basis(a):
                     rhs_terms.append(((v, w), 1))
-            _check(
-                report,
-                lambda: f"comul-adjoint a={qsym.format_composition(a)}",
-                lhs,
+            yield (
+                lambda: f"comul-adjoint a={fmt(a)}",
+                qsym.deconcat(LinComb.basis(a)),
                 LinComb(rhs_terms),
                 _fmt_comp_pair,
             )
-    return report
 
 
-def _suite_rhot_hom(colors, bound, weights) -> dict:
+@_suite("rhot-hom")
+def _suite_rhot_hom(colors, bound, weights):
     """rho_t is a Hopf algebra map: it takes disjoint union to the
     quasi-shuffle and the cut coproduct to deconcatenation."""
     nc = len(colors)
-    report = _new_report("rhot-hom", colors, bound)
     universe = _forests_upto(nc, bound)
     fmt = _fmt_forest(colors)
     image = {f: qsym.rho_t(f, nc, limit=bound) for f in universe}
@@ -414,8 +396,7 @@ def _suite_rhot_hom(colors, bound, weights) -> dict:
         for b in universe:
             if a.size + b.size > bound:
                 continue
-            _check(
-                report,
+            yield (
                 lambda: f"mul A={fmt(a)} B={fmt(b)}",
                 image[hall.ck_mul(a, b)],
                 qsym.quasi_shuffle(image[a], image[b]),
@@ -423,29 +404,15 @@ def _suite_rhot_hom(colors, bound, weights) -> dict:
             )
 
     for a in universe:
-        terms = []
-        for pruned, root in hall.ck_comul(a):
-            terms.extend(tensor(image[pruned], image[root]).terms.items())
-        _check(
-            report,
+        # one tensor per distinct (pruned, root), weighted by its cut count
+        cut_counts = LinComb((cut, 1) for cut in hall.ck_comul(a))
+        yield (
             lambda: f"comul A={fmt(a)}",
             qsym.deconcat(image[a]),
-            LinComb(terms),
+            extend(cut_counts, lambda p: tensor(image[p[0]], image[p[1]])),
             _fmt_comp_pair,
         )
-    return report
 
-
-_SUITES = {
-    "theorem1": _suite_theorem1,
-    "theorem2": _suite_theorem2,
-    "js-split": _suite_js_split,
-    "hall-oracle": _suite_hall_oracle,
-    "counts": _suite_counts,
-    "hopf-axioms": _suite_hopf_axioms,
-    "dual-pair": _suite_dual_pair,
-    "rhot-hom": _suite_rhot_hom,
-}
 
 SUITE_NAMES = tuple(_SUITES)
 

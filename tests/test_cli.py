@@ -455,12 +455,18 @@ def test_deterministic_output(capsys):
         ["qsym", "rhot", "--forest", "a", "--colors", "a", "--max-vertices", "0"],
         ["cuts", "flags", "0", "--colors", "a"],
         ["cuts", "flags", "a", "--colors", "a", "--k", "0"],
+        ["nsym", "js", "--n", "2", "--weights", "a=²"],
     ],
 )
 def test_domain_errors_exit_one(capsys, argv):
     code, out, err = _run(capsys, *argv)
     assert code == 1
     assert err.startswith("error:")
+    if argv[-1] == "a=²":
+        # str.isdigit accepts the superscript, which int() refuses
+        assert err == (
+            "error: bad weight entry 'a=²'; expected name=positive-integer\n"
+        )
 
 
 def test_usage_errors_exit_two():
