@@ -1,11 +1,10 @@
 """Exact computer algebra for colored rooted forests.
 
-Canonical forms and parsing (:mod:`.forest`), admissible cuts and flags
+Canonical forms and parsing (:mod:`.forest`), admissible cuts
 (:mod:`.cuts`), class-indexed enumeration (:mod:`.enumeration`), the Hall
-algebra with its Connes-Kreimer-style dual (:mod:`.hall`), graded
-noncommutative symmetric and quasisymmetric functions with the maps between
-all of these (:mod:`.nsym`, :mod:`.qsym`), executable identity suites
-(:mod:`.verify`), and a CLI (:mod:`.cli`).
+algebra (:mod:`.hall`), graded noncommutative symmetric and quasisymmetric
+functions with the maps between all of these (:mod:`.nsym`, :mod:`.qsym`),
+executable identity suites (:mod:`.verify`), and a CLI (:mod:`.cli`).
 
 All coefficients are exact rationals; equality checks are never approximate.
 """

@@ -18,7 +18,7 @@ import os
 import sys
 
 from . import verify as verify_mod
-from .cuts import enumerate_cuts, flag_counts
+from .cuts import enumerate_cuts
 from .enumeration import (
     DEFAULT_SIZE_LIMIT,
     SizeLimitError,
@@ -99,11 +99,11 @@ def _make_session(args) -> _Session:
     weights = None
     if getattr(args, "weights", None):
         pairs = _parse_weight_list(args.weights)
-        if colors is None:
-            colors = ColorTable(name for name, _ in pairs)
         by_name = dict(pairs)
         if len(by_name) != len(pairs):
             raise CliError("duplicate color in --weights")
+        if colors is None:
+            colors = ColorTable(by_name)
         if set(by_name) != set(colors.names):
             raise CliError(
                 "--weights must assign exactly the declared colors "
@@ -339,7 +339,7 @@ def _cmd_cuts_flags(session, args) -> int:
         raise CliError("--k must be at least 1")
     counts = {
         flag: n
-        for flag, n in flag_counts(forest, nc).items()
+        for flag, n in rho_t(forest, nc, session.max_vertices).terms.items()
         if args.k is None or len(flag) == args.k
     }
     rows = sorted(counts, key=lambda f: (len(f), format_word(f)))

@@ -1,4 +1,4 @@
-"""Admissible cuts of canonical forests, and iterated-cut flags.
+"""Admissible cuts of canonical forests.
 
 A cut of a tree either selects a set of edges meeting every root-to-leaf path
 at most once, or is the formal full cut that prunes the whole tree.  Removing
@@ -13,10 +13,10 @@ enumeration order is deterministic, and repeat (pruned, root) pairs coming
 from genuinely different cuts stay distinguishable.
 
 The cuts of each tree are memoized per interned tree (``_tree_cuts``); the
-cut list of a forest is rebuilt on every call to ``enumerate_cuts``, and what
-is memoized is what is read off it: the flag counts behind rho_t.  The Hall
-product does not read cuts (it counts graft orbits); the hall-oracle suite
-counts cuts by (pruned, root) to cross-check it.
+cut list of a forest is rebuilt on every call to ``enumerate_cuts``.  These
+cuts are the Connes-Kreimer coproduct: rho_t (in ``qsym``) counts the
+iterated cuts, and the hall-oracle suite counts cuts by (pruned, root) to
+cross-check the Hall product, which never reads them.
 """
 
 from __future__ import annotations
@@ -24,12 +24,9 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .forest import Forest, Tree, k0_class
+from .forest import Forest, Tree
 
-__all__ = [
-    "enumerate_cuts",
-    "flag_counts",
-]
+__all__ = ["enumerate_cuts"]
 
 
 @lru_cache(maxsize=None)
@@ -75,27 +72,3 @@ def enumerate_cuts(forest: Forest) -> tuple:
         out.append((masks, pruned, root))
     return tuple(out)
 
-
-@lru_cache(maxsize=None)
-def flag_counts(forest: Forest, ncolors: int) -> dict:
-    """Class sequences of all iterated cuts of ``forest``, with multiplicity.
-
-    A flag is a sequence of admissible cuts: the first cut splits ``forest``,
-    the next cut splits the pruned remainder, and so on, every root part
-    nonempty, until the remainder is empty.  The key records the root-part
-    classes innermost first; the value counts the distinct cut sequences
-    with that key.  So the empty forest gives ``{(): 1}``, and each cut
-    (P, R) with R nonempty appends the class of R to every key of P: the
-    iterated coproduct.  The returned dict is shared; do not mutate it.
-    """
-    if forest.size == 0:
-        return {(): 1}
-    counts: dict = {}
-    for _, pruned, root in enumerate_cuts(forest):
-        if root.size == 0:
-            continue
-        step = (k0_class(root, ncolors),)
-        for head, n in flag_counts(pruned, ncolors).items():
-            flag = head + step
-            counts[flag] = counts.get(flag, 0) + n
-    return counts

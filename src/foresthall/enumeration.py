@@ -13,7 +13,7 @@ import itertools
 import math
 from functools import cache
 
-from .forest import Forest, Tree
+from .forest import Forest, Tree, format_class
 
 __all__ = [
     "DEFAULT_SIZE_LIMIT",
@@ -44,7 +44,7 @@ def check_size(subject: str, total: int, limit: int | None) -> None:
 
 
 def _check_class(alpha: tuple[int, ...], limit: int | None) -> None:
-    shown = "(" + ",".join(str(a) for a in alpha) + ")"
+    shown = format_class(alpha)
     if not alpha:
         raise ValueError("class vector needs at least one color")
     if any(a < 0 for a in alpha):

@@ -1,4 +1,4 @@
-"""The Hall algebra of colored rooted forests, and its graded dual.
+"""The Hall algebra of colored rooted forests.
 
 The delta basis is indexed by canonical forests.  The product counts
 admissible cuts: the coefficient of delta_M in delta_A * delta_B is the
@@ -32,9 +32,9 @@ one.  Together these make the span of the deltas a co-commutative connected
 graded bialgebra, hence a Hopf algebra; the antipode is computed by the
 standard recursion.
 
-The dual W basis (indexed by the same forests) multiplies by disjoint union
-and comultiplies over admissible cuts; ck_mul/ck_comul expose that side at
-the basis level.
+The dual W basis (indexed by the same forests) is the Connes-Kreimer side:
+it multiplies by ``forest.direct_sum`` and comultiplies over
+``cuts.enumerate_cuts``.
 """
 
 from __future__ import annotations
@@ -44,9 +44,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .cuts import enumerate_cuts
 from .enumeration import check_size, forests_of_class
-from .forest import Forest, Tree, direct_sum
+from .forest import Forest, Tree
 from .linear import LinComb, bilinear, extend
 
 __all__ = [
@@ -56,8 +55,6 @@ __all__ = [
     "kappa",
     "counit",
     "antipode",
-    "ck_mul",
-    "ck_comul",
 ]
 
 
@@ -195,13 +192,3 @@ def _antipode_delta(a: Forest) -> LinComb:
         lambda p: hall_mul(_antipode_delta(p[0]), delta(p[1])),
     )
 
-
-def ck_mul(a: Forest, b: Forest) -> Forest:
-    """Product on the dual W basis: disjoint union of the indexing forests."""
-    return direct_sum(a, b)
-
-
-def ck_comul(a: Forest) -> list[tuple[Forest, Forest]]:
-    """Coproduct terms on the dual W basis: the (pruned, root) pair of each
-    admissible cut, in ``enumerate_cuts`` order, repeats included."""
-    return [(pruned, root) for _, pruned, root in enumerate_cuts(a)]

@@ -143,11 +143,12 @@ def js(n: int, weights, limit: int | None = None) -> LinComb:
     refused without looking for a class when the smallest weight, after
     dividing out the gcd, is over 100,000.
     """
-    weights = tuple(int(w) for w in weights)
+    weights = tuple(weights)
     if not weights:
         raise ValueError("at least one color weight is required")
-    if any(w < 1 for w in weights):
-        raise ValueError(f"weights must be positive: {weights}")
+    if any(w < 1 or w != int(w) for w in weights):
+        raise ValueError(f"weights must be positive integers: {weights}")
+    weights = tuple(map(int, weights))
     if n < 0:
         raise ValueError("weight must be non-negative")
     # A class of weight n has at least n / max(weights) vertices; refusing

@@ -9,9 +9,10 @@ this the graded dual of the concatenation side.
 rho_t expands a forest over compositions by counting flags: iterated
 admissible cuts with every step nonempty.  A flag is a first cut (P, R) with
 R nonempty followed by a flag of P, so rho_t(F) is the sum over those cuts
-of rho_t(P) with class(R) appended; cuts.flag_counts computes this iterated
-coproduct once per forest.  rho_t is the transpose of rho under the pairing,
-and a Hopf algebra map from the disjoint-union/cut side.
+of rho_t(P) with class(R) appended: one recursion over
+``cuts.enumerate_cuts``, memoized per forest.  rho_t is the transpose of rho
+under the pairing, and a Hopf algebra map from the Connes-Kreimer side
+(``forest.direct_sum`` and ``cuts.enumerate_cuts``).
 """
 
 from __future__ import annotations
@@ -19,9 +20,16 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .cuts import flag_counts
+from .cuts import enumerate_cuts
 from .enumeration import check_size
-from .forest import Forest, ParseError, _class_at, add_classes, format_class
+from .forest import (
+    Forest,
+    ParseError,
+    _class_at,
+    add_classes,
+    format_class,
+    k0_class,
+)
 from .linear import LinComb, bilinear
 from .nsym import word_degree
 
@@ -89,16 +97,30 @@ def pair(z: LinComb, x: LinComb) -> Fraction:
     return total
 
 
+@lru_cache(maxsize=None)
+def _rho_t(forest: Forest, ncolors: int) -> LinComb:
+    if forest.size == 0:
+        return LinComb.basis(())
+    counts: dict = {}
+    for _, pruned, root in enumerate_cuts(forest):
+        if root.size == 0:
+            continue
+        step = (k0_class(root, ncolors),)
+        for head, n in _rho_t(pruned, ncolors).terms.items():
+            flag = head + step
+            counts[flag] = counts.get(flag, 0) + n
+    return LinComb._merged(counts)
+
+
 def rho_t(forest: Forest, ncolors: int, limit: int | None = None) -> LinComb:
     """Expand a W-basis forest over compositions via iterated cuts.
 
     The coefficient of Z[alpha_1,..,alpha_k] is the number of k-step flags
     of the forest with those root-part classes; the empty forest maps to the
-    unit.
+    unit.  Returns the memoized image itself, not a copy.
     """
     check_size("forest", forest.size, limit)
-    # flag_counts' dict is shared with its memo, and its counts are positive.
-    return LinComb._merged(dict(flag_counts(forest, ncolors)))
+    return _rho_t(forest, ncolors)
 
 
 def format_composition(comp: Composition) -> str:

@@ -24,7 +24,7 @@ import itertools
 from functools import lru_cache
 
 from . import cuts, enumeration, hall, nsym, qsym
-from .forest import ColorTable, Forest, format_class, format_forest
+from .forest import ColorTable, Forest, direct_sum, format_class, format_forest
 from .linear import LinComb, extend, tensor, tensor_mul
 
 __all__ = ["SUITE_NAMES", "run_suite", "run_all"]
@@ -398,14 +398,14 @@ def _suite_rhot_hom(colors, bound, weights):
                 continue
             yield (
                 lambda: f"mul A={fmt(a)} B={fmt(b)}",
-                image[hall.ck_mul(a, b)],
+                image[direct_sum(a, b)],
                 qsym.quasi_shuffle(image[a], image[b]),
                 qsym.format_composition,
             )
 
     for a in universe:
         # one tensor per distinct (pruned, root), weighted by its cut count
-        cut_counts = LinComb((cut, 1) for cut in hall.ck_comul(a))
+        cut_counts = LinComb(((p, r), 1) for _, p, r in cuts.enumerate_cuts(a))
         yield (
             lambda: f"comul A={fmt(a)}",
             qsym.deconcat(image[a]),

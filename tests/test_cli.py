@@ -64,6 +64,13 @@ def test_cuts_flags_multiplicity(capsys):
     )
     assert code == 0
     assert out == "2 (1)|(1)\ncount=2\n"
+    # --max-vertices raises the limit of the flag expansion too
+    chain = "a[" * 12 + "a" + "]" * 12
+    code, out, err = _run(
+        capsys, "cuts", "flags", chain, "--colors", "a",
+        "--max-vertices", "13", "--k", "1",
+    )
+    assert (code, out, err) == (0, "1 (13)\ncount=1\n", "")
 
 
 def test_enumerate(capsys):
@@ -456,6 +463,7 @@ def test_deterministic_output(capsys):
         ["cuts", "flags", "0", "--colors", "a"],
         ["cuts", "flags", "a", "--colors", "a", "--k", "0"],
         ["nsym", "js", "--n", "2", "--weights", "a=²"],
+        ["nsym", "js", "--n", "3", "--weights", "a=1,a=2"],
     ],
 )
 def test_domain_errors_exit_one(capsys, argv):
@@ -467,6 +475,9 @@ def test_domain_errors_exit_one(capsys, argv):
         assert err == (
             "error: bad weight entry 'a=²'; expected name=positive-integer\n"
         )
+    if argv[-1] == "a=1,a=2":
+        # the same message with or without --colors
+        assert err == "error: duplicate color in --weights\n"
 
 
 def test_usage_errors_exit_two():

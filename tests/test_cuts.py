@@ -9,7 +9,7 @@ code with the library's slot-product recursion.
 import itertools
 from collections import Counter
 
-from foresthall.cuts import enumerate_cuts, flag_counts
+from foresthall.cuts import enumerate_cuts
 from foresthall.enumeration import forests_of_class, trees_of_class
 from foresthall.forest import (
     ColorTable,
@@ -19,6 +19,7 @@ from foresthall.forest import (
     k0_class,
     parse_forest,
 )
+from foresthall.qsym import rho_t
 
 AB = ColorTable(("a", "b"))
 
@@ -219,8 +220,13 @@ def test_census_orientation():
 
 
 def test_census_multiplicity():
-    one = parse_forest("a", AB)
-    assert _census(parse_forest("a+a", AB))[one, one] == 2
+    one, two = parse_forest("a", AB), parse_forest("a+a", AB)
+    # the empty cut, either vertex alone, or both
+    assert _census(two) == {
+        (Forest(), two): 1,
+        (one, one): 2,
+        (two, Forest()): 1,
+    }
     assert _census(parse_forest("a[a]", AB))[one, one] == 1
 
 
@@ -235,7 +241,7 @@ def test_empty_forest_has_one_cut():
 
 def _flags(forest, k, ncolors):
     """The k-step flags of ``forest`` with their counts."""
-    counts = flag_counts(forest, ncolors)
+    counts = rho_t(forest, ncolors).terms
     return {flag: n for flag, n in counts.items() if len(flag) == k}
 
 

@@ -144,6 +144,9 @@ def test_direct_sum():
     assert direct_sum(Forest(), one) == one
     mixed = direct_sum(parse_forest("a[b]", AB), one)
     assert format_forest(mixed, AB) == "a+a[b]"
+    assert direct_sum(one, parse_forest("a[b]", AB)) == mixed
+    b = parse_forest("b", AB)
+    assert direct_sum(one, b) == direct_sum(b, one)
 
 
 def test_direct_sum_class_additivity():

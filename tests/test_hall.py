@@ -1,5 +1,7 @@
-"""Hall algebra structure constants, coproduct, antipode, and the dual ops."""
+"""Hall algebra structure constants, coproduct and antipode."""
 
+import ast
+import inspect
 import itertools
 import math
 from collections import Counter
@@ -7,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+import foresthall.hall
 from foresthall.cuts import enumerate_cuts
 from foresthall.enumeration import SizeLimitError, forests_of_class
 from foresthall.forest import (
@@ -23,8 +26,6 @@ from foresthall.hall import (
     _delta_mul,
     _graft_candidates,
     antipode,
-    ck_comul,
-    ck_mul,
     counit,
     delta,
     hall_comul,
@@ -347,37 +348,17 @@ def test_antipode_size_guard():
         antipode(delta(_f("a")), limit=0)
 
 
-def test_ck_mul_is_disjoint_union():
-    assert ck_mul(_f("a[b]"), _f("a")) == _f("a+a[b]")
-    assert ck_mul(Forest(), _f("b")) == _f("b")
-    assert ck_mul(_f("a"), _f("b")) == ck_mul(_f("b"), _f("a"))
-
-
-def test_ck_comul_multiset():
-    got = Counter(
-        (format_forest(p, AB), format_forest(r, AB))
-        for p, r in ck_comul(_f("a+a"))
-    )
-    assert got == Counter(
-        {
-            ("0", "a+a"): 1,
-            ("a", "a"): 2,
-            ("a+a", "0"): 1,
-        }
-    )
-
-
-def test_ck_comul_matches_product_coefficients():
-    # duality: multiplicity of (A, B) among cuts of M = coeff of M in dA * dB
-    for m in _universe(3):
-        census = Counter(ck_comul(m))
-        for a in _universe(3):
-            for b in _universe(3):
-                if a.size + b.size != m.size:
-                    continue
-                assert census.get((a, b), 0) == hall_mul(
-                    delta(a), delta(b)
-                ).coeff(m)
+def test_the_product_cannot_read_cuts():
+    # hall-oracle checks the product against a census of cuts, so the
+    # product must not be built from them
+    source = ast.parse(inspect.getsource(foresthall.hall))
+    imported = set()
+    for node in ast.walk(source):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+            imported.update(alias.name for alias in node.names)
+    assert "cuts" not in imported
+    assert not hasattr(foresthall.hall, "enumerate_cuts")
 
 
 def test_direct_sum_vs_comul_adjointness():

@@ -11,7 +11,6 @@ from foresthall.forest import (
     ParseError,
     format_forest,
     k0_class,
-    parse_forest,
 )
 from foresthall.hall import counit, delta, hall_mul, kappa
 from foresthall.linear import LinComb, tensor
@@ -193,6 +192,12 @@ def test_js_validation():
         js(2, (1, 0))
     with pytest.raises(ValueError):
         js(2, ())
+    # a fractional weight is refused, not truncated; an integral float is not
+    with pytest.raises(ValueError):
+        js(2, (1.7,))
+    with pytest.raises(ValueError):
+        js(3, (1.5, 2))
+    assert js(4, (2.0,)) == js(4, (2,)) == LinComb.basis(((2,),))
     with pytest.raises(SizeLimitError):
         js(13, (1, 1))
     with pytest.raises(SizeLimitError):

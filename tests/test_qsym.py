@@ -139,7 +139,9 @@ def test_rho_t_two_equal_vertices():
 
 
 def test_rho_t_worked_example():
-    got = rho_t(parse_forest("a[b,a]", AB), 2)
+    forest = parse_forest("a[b,a]", AB)
+    got = rho_t(forest, 2)
+    assert rho_t(forest, 2) is got  # the memoized image, not a copy
     assert _named(got) == {
         "Z[(2,1)]": 1,
         "Z[(0,1),(2,0)]": 1,

@@ -125,11 +125,12 @@ def _drop_last_term(when):
 
 def _bump_two_part_flags(target):
     """A fault counting every two-part flag of the forest ``target`` once
-    more in ``flag_counts``."""
-    return lambda original: lambda forest, ncolors: {
-        flag: n + (len(flag) == 2 and forest == target)
-        for flag, n in original(forest, ncolors).items()
-    }
+    more in ``rho_t``.  Only the outer call is patched, so the images of
+    the forests whose cuts prune ``target`` stay right."""
+    return lambda original: lambda forest, ncolors, limit=None: LinComb(
+        (flag, n + (len(flag) == 2 and forest == target))
+        for flag, n in original(forest, ncolors, limit).items()
+    )
 
 
 def _miscount_two_vertices(original):
@@ -160,7 +161,7 @@ BROKEN_COMUL = (
 FAULTS = {
     "theorem1": [BROKEN_COMUL],
     "theorem2": [
-        (foresthall.qsym, "flag_counts", _bump_two_part_flags(FOREST_AB))
+        (foresthall.qsym, "rho_t", _bump_two_part_flags(FOREST_AB))
     ],
     "js-split": [
         (
@@ -189,7 +190,7 @@ FAULTS = {
     "rhot-hom": [
         (
             foresthall.qsym,
-            "flag_counts",
+            "rho_t",
             _bump_two_part_flags(parse_forest("a[b]+b", AB)),
         )
     ],
