@@ -1,9 +1,10 @@
 """Command-line interface.
 
-Subcommands cover parsing/normalization, cut and flag enumeration, forest
-generation, the four algebra structures, the homomorphisms between them, and
-the executable verification suites.  Output is plain text by default or a
-stable JSON document with --json.
+Subcommands cover parsing/normalization, cut enumeration, forest
+generation, the four algebra structures, the homomorphisms between them
+(``qsym rhot`` prints the flags of a forest, of every length, as
+compositions), and the executable verification suites.  Output is plain
+text by default or a stable JSON document with --json.
 
 Exit codes: 0 success, 1 domain errors (malformed input, unknown colors,
 size guard) and a reader that closed stdout early, 2 usage errors and
@@ -329,31 +330,6 @@ def _cmd_cuts_list(session, args) -> int:
     return 0
 
 
-def _cmd_cuts_flags(session, args) -> int:
-    colors = _need_colors(session)
-    nc = len(colors)
-    (forest,) = _forests(session, args.expr)
-    if forest.size == 0:
-        raise CliError("flags are defined for nonempty forests")
-    if args.k is not None and args.k < 1:
-        raise CliError("--k must be at least 1")
-    counts = {
-        flag: n
-        for flag, n in rho_t(forest, nc, session.max_vertices).terms.items()
-        if args.k is None or len(flag) == args.k
-    }
-    rows = sorted(counts, key=lambda f: (len(f), format_word(f)))
-    payload = {
-        "forest": format_forest(forest, colors),
-        "flags": {format_word(f): counts[f] for f in rows},
-        "count": sum(counts.values()),
-    }
-    lines = [f"{counts[f]} {format_word(f)}" for f in rows]
-    lines.append(f"count={sum(counts.values())}")
-    _emit(session, payload, lines)
-    return 0
-
-
 def _cmd_enumerate(session, args) -> int:
     colors = _need_colors(session)
     alpha = parse_class(args.class_vec, len(colors))
@@ -415,7 +391,7 @@ def _cmd_verify(session, args) -> int:
 
 _GROUPS = {
     "forest": "parse and normalize forests",
-    "cuts": "admissible cuts and flags",
+    "cuts": "admissible cuts",
     "hall": "Hall algebra in the delta basis",
     "nsym": "noncommutative symmetric functions on class words",
     "qsym": "quasisymmetric functions on class compositions",
@@ -477,9 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     leaf("forest", "class", "per-color vertex counts", [_EXPR],
          func=_cmd_forest_class)
     leaf("cuts", "list", "all admissible cuts", [_EXPR], func=_cmd_cuts_list)
-    leaf("cuts", "flags", "iterated-cut class sequences",
-         [_EXPR, _arg("--k", "flag length (default: all)", type=int)],
-         func=_cmd_cuts_flags)
     leaf(None, "enumerate", "forests of a given class", [_CLASS],
          func=_cmd_enumerate)
     for group, name, help_text, args, compute, render in _ELEMENT_COMMANDS:

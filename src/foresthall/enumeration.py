@@ -1,16 +1,15 @@
-"""Generation and counting of forests with a prescribed class vector.
+"""Generation of the forests with a prescribed class vector.
 
-Two independent routes are kept side by side on purpose: an orderly generator
-(components chosen largest-first in the canonical order, so no
-post-deduplication is ever needed) and a counting recursion combining the
-rooted-tree recursion with a color-refined multiset Euler transform.  The
-test suite requires the two to agree class by class.
+The orderly generator is the only route: components are chosen
+largest-first in the canonical order, so no post-deduplication is ever
+needed.  The ``counts`` suite of :mod:`.verify` counts the same forests
+independently, without generating them, and requires the two to agree
+class by class.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from functools import cache
 
 from .forest import Forest, Tree, format_class
@@ -20,7 +19,6 @@ __all__ = [
     "SizeLimitError",
     "forests_of_class",
     "trees_of_class",
-    "count_forests_of_class",
 ]
 
 DEFAULT_SIZE_LIMIT = 12
@@ -96,50 +94,6 @@ def _forests_bounded(alpha: tuple[int, ...], bound) -> tuple[Forest, ...]:
     return tuple(out)
 
 
-@cache
-def _tree_count(alpha: tuple[int, ...]) -> int:
-    return sum(
-        _forest_count(_decrement(alpha, s))
-        for s, count in enumerate(alpha)
-        if count
-    )
-
-
-@cache
-def _forest_count(alpha: tuple[int, ...]) -> int:
-    """Count forests of class alpha without generating them.
-
-    Multiset Euler transform refined by class: process each possible
-    component class beta in a fixed order and choose how many components of
-    that class to use, with multichoose(kinds, k) ways to pick k components
-    among ``kinds`` tree shapes.
-    """
-    if not any(alpha):
-        return 1
-    box = list(itertools.product(*(range(a + 1) for a in alpha)))
-    table = {gamma: 0 for gamma in box}
-    table[tuple(0 for _ in alpha)] = 1
-    for beta in box:
-        if not any(beta):
-            continue
-        kinds = _tree_count(beta)
-        if not kinds:
-            continue
-        new = {}
-        for gamma in box:
-            total = 0
-            k = 0
-            while True:
-                sub = tuple(g - k * b for g, b in zip(gamma, beta))
-                if any(x < 0 for x in sub):
-                    break
-                total += math.comb(kinds + k - 1, k) * table[sub]
-                k += 1
-            new[gamma] = total
-        table = new
-    return table[alpha]
-
-
 def forests_of_class(alpha, limit: int | None = None) -> list[Forest]:
     """All non-isomorphic forests whose per-color vertex counts equal alpha.
 
@@ -160,13 +114,3 @@ def trees_of_class(alpha, limit: int | None = None) -> list[Tree]:
     alpha = tuple(alpha)
     _check_class(alpha, limit)
     return list(_trees(alpha))
-
-
-def count_forests_of_class(alpha, limit: int | None = None) -> int:
-    """Count forests of class alpha by the Euler-transform recursion.
-
-    Independent of :func:`forests_of_class`; tests require agreement.
-    """
-    alpha = tuple(alpha)
-    _check_class(alpha, limit)
-    return _forest_count(alpha)

@@ -11,16 +11,19 @@ class's rho images, the adjoint of the word coproduct), a side that applies
 the library's own maps to a combination is built by ``extend``, and an
 instance is named only when its check fails.
 
-The hall-oracle suite is the designated cross-check of the product: it
-recomputes every structure constant by counting the cuts of each forest of
-the universe by (pruned, root), a census that lives only in that suite,
-while the algebra counts graft assignments and automorphisms and never
-lists a cut.
+Two suites hold the oracle they check against, and share no code with the
+library route they check.  The hall-oracle suite recomputes every structure
+constant of the product by counting the cuts of each forest of the universe
+by (pruned, root), while the algebra counts graft assignments and
+automorphisms and never lists a cut.  The counts suite counts the forests of
+each class by the rooted-tree recursion and a class-refined Euler
+transform, while the enumeration generates them.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 from . import cuts, enumeration, hall, nsym, qsym
@@ -225,15 +228,47 @@ def _suite_hall_oracle(colors, bound, weights):
             )
 
 
+def _forest_counts(ncolors: int, bound: int) -> dict:
+    """The number of forests of each class of at most ``bound`` vertices,
+    counted without listing one.
+
+    A tree of class beta is a root of some color s over a forest of class
+    beta - e_s.  A forest is a multiset of trees, counted by the Euler
+    transform refined by class: the table starts at the empty forest and
+    takes in each class beta, smallest total first, with k trees of class
+    beta chosen among its ``kinds`` shapes in C(kinds + k - 1, k) ways.
+    Every class of a smaller total is taken in before beta, so the table is
+    final on the forest classes its tree count reads.
+    """
+    classes = _classes_upto(ncolors, bound)
+    counts = dict.fromkeys(classes, 0)
+    counts[classes[0]] = 1
+    for beta in classes[1:]:
+        kinds = sum(
+            counts[enumeration._decrement(beta, s)]
+            for s in range(ncolors)
+            if beta[s]
+        )
+        # largest total first: gamma reads only entries beta has not updated
+        for gamma in reversed(classes):
+            k = 1
+            sub = tuple(g - b for g, b in zip(gamma, beta))
+            while min(sub) >= 0:
+                counts[gamma] += math.comb(kinds + k - 1, k) * counts[sub]
+                k += 1
+                sub = tuple(g - k * b for g, b in zip(gamma, beta))
+    return counts
+
+
 @_suite("counts")
 def _suite_counts(colors, bound, weights):
     """The orderly generator and the Euler-transform counter agree."""
-    nc = len(colors)
-    for alpha in _classes_upto(nc, bound):
+    counts = _forest_counts(len(colors), bound)
+    for alpha in counts:
         yield (
             lambda: f"alpha={format_class(alpha)}",
             len(enumeration.forests_of_class(alpha, limit=bound)),
-            enumeration.count_forests_of_class(alpha, limit=bound),
+            counts[alpha],
             None,
         )
 

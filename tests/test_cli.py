@@ -1,9 +1,11 @@
 """CLI surface: output text, JSON schema, exit codes, determinism."""
 
 import argparse
+import itertools
 import json
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -58,19 +60,23 @@ def test_cuts_list(capsys):
     ]
 
 
-def test_cuts_flags_multiplicity(capsys):
+def test_qsym_rhot_multiplicity(capsys):
     code, out, _ = _run(
-        capsys, "cuts", "flags", "a+a", "--colors", "a", "--k", "2"
+        capsys, "qsym", "rhot", "--forest", "a+a", "--colors", "a"
     )
     assert code == 0
-    assert out == "2 (1)|(1)\ncount=2\n"
-    # --max-vertices raises the limit of the flag expansion too
+    assert out == "2 Z[(1),(1)]\n1 Z[(2)]\n"
+    # --max-vertices raises the limit of the flag expansion too; a chain's
+    # flags are the 2**12 compositions of 13
     chain = "a[" * 12 + "a" + "]" * 12
     code, out, err = _run(
-        capsys, "cuts", "flags", chain, "--colors", "a",
-        "--max-vertices", "13", "--k", "1",
+        capsys, "qsym", "rhot", "--forest", chain, "--colors", "a",
+        "--max-vertices", "13",
     )
-    assert (code, out, err) == (0, "1 (13)\ncount=1\n", "")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 4096
+    assert "1 Z[(13)]" in lines
 
 
 def test_enumerate(capsys):
@@ -201,14 +207,7 @@ def test_qsym_rhot_json(capsys):
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
-FLAG_GOLDEN = [
-    ("flags_all", ["cuts", "flags", "a[b,a]+b", "--colors", "a,b"]),
-    ("flags_k2", ["cuts", "flags", "a[b,a]+b", "--colors", "a,b", "--k", "2"]),
-    ("rhot", ["qsym", "rhot", "--forest", "a[b[a],b]+a", "--colors", "a,b"]),
-]
-
-# One case for each leaf command that FLAG_GOLDEN does not cover, and a
-# second one for verify all.
+# One case for each leaf command, and a second one for verify all.
 LEAF_GOLDEN = [
     (
         "forest_normalize",
@@ -232,6 +231,7 @@ LEAF_GOLDEN = [
         "qsym_deconcat",
         ["qsym", "deconcat", "Z[(1,0),(0,1),(2,0)]", "--colors", "a,b"],
     ),
+    ("rhot", ["qsym", "rhot", "--forest", "a[b[a],b]+a", "--colors", "a,b"]),
     ("verify_all", ["verify", "all", "--colors", "a,b", "--max-vertices", "2"]),
     # the benchmark's verify-all bound, which pins every suite's checked count
     (
@@ -261,24 +261,11 @@ def test_every_leaf_has_a_golden_case():
     leaves = {path for path, is_leaf in paths if is_leaf}
     covered = {
         tuple(argv[:k])
-        for _, argv in FLAG_GOLDEN + LEAF_GOLDEN
+        for _, argv in LEAF_GOLDEN
         for k in (1, 2)
         if tuple(argv[:k]) in leaves
     }
     assert covered == leaves
-
-
-def _assert_golden(capsys, name, argv, json_out):
-    suffix = "_json" if json_out else ""
-    code, out, err = _run(capsys, *argv, *(["--json"] if json_out else []))
-    assert (code, err) == (0, "")
-    assert out == (GOLDEN / f"{name}{suffix}.out").read_text()
-
-
-@pytest.mark.parametrize("name, argv", FLAG_GOLDEN)
-@pytest.mark.parametrize("json_out", [False, True])
-def test_flag_output_matches_golden(capsys, name, argv, json_out):
-    _assert_golden(capsys, name, argv, json_out)
 
 
 @pytest.mark.parametrize(
@@ -286,7 +273,10 @@ def test_flag_output_matches_golden(capsys, name, argv, json_out):
 )
 @pytest.mark.parametrize("json_out", [False, True])
 def test_leaf_output_matches_golden(capsys, name, argv, json_out):
-    _assert_golden(capsys, name, argv, json_out)
+    suffix = "_json" if json_out else ""
+    code, out, err = _run(capsys, *argv, *(["--json"] if json_out else []))
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / f"{name}{suffix}.out").read_text()
 
 
 @pytest.mark.parametrize(
@@ -303,6 +293,61 @@ def test_help_matches_golden(capsys, monkeypatch, path):
     assert exc.value.code == 0
     name = "_".join(("help",) + path)
     assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
+
+
+def test_golden_files_are_exactly_the_ones_read():
+    # the leaf cases, one help page per parser path, and the failure
+    # reports of tests/test_verify.py
+    read = {
+        f"{name}{suffix}.out"
+        for name, _ in LEAF_GOLDEN
+        for suffix in ("", "_json")
+    }
+    read |= {
+        "_".join(("help",) + path) + ".out"
+        for path, _ in _parser_paths(build_parser())
+    }
+    read.add("verify_failures.json")
+    assert {path.name for path in GOLDEN.iterdir()} == read
+
+
+def _readme_examples():
+    """(command, output lines) for each ``$ foresthall`` example of README:
+    the output runs to the next blank line or the end of the code block."""
+    readme = pathlib.Path(__file__).parents[1] / "README.md"
+    lines = readme.read_text().splitlines()
+    examples = []
+    for i, line in enumerate(lines):
+        if line.startswith("$ foresthall "):
+            shown = itertools.takewhile(
+                lambda text: text and not text.startswith("```"),
+                lines[i + 1 :],
+            )
+            examples.append((line.removeprefix("$ "), list(shown)))
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+@pytest.mark.parametrize(
+    "command, shown",
+    README_EXAMPLES,
+    ids=[command.partition("#")[0].rstrip() for command, _ in README_EXAMPLES],
+)
+def test_readme_example(capsys, command, shown):
+    argv = shlex.split(command, comments=True)[1:]
+    tail = None
+    if "|" in argv:
+        # the one piped example keeps the last lines: "| tail -N"
+        pipe = argv.index("|")
+        assert argv[pipe + 1] == "tail"
+        tail = int(argv[pipe + 2].removeprefix("-"))
+        argv = argv[:pipe]
+    code, out, err = _run(capsys, *argv)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert (lines[-tail:] if tail else lines) == shown
 
 
 @pytest.mark.parametrize(
@@ -460,8 +505,6 @@ def test_deterministic_output(capsys):
         ["nsym", "js", "--n", "2", "--weights", "a=0"],
         ["nsym", "js", "--n", "2", "--colors", "a,b", "--weights", "a=1"],
         ["qsym", "rhot", "--forest", "a", "--colors", "a", "--max-vertices", "0"],
-        ["cuts", "flags", "0", "--colors", "a"],
-        ["cuts", "flags", "a", "--colors", "a", "--k", "0"],
         ["nsym", "js", "--n", "2", "--weights", "a=²"],
         ["nsym", "js", "--n", "3", "--weights", "a=1,a=2"],
     ],

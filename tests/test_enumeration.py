@@ -1,42 +1,32 @@
-"""Class-indexed forest generation and the independent counting route."""
+"""Class-indexed forest generation, checked against the independent
+counter of the ``counts`` suite."""
 
 import pytest
 
 from foresthall.enumeration import (
     DEFAULT_SIZE_LIMIT,
     SizeLimitError,
-    count_forests_of_class,
     forests_of_class,
     trees_of_class,
 )
 from foresthall.forest import ColorTable, Forest, Tree, format_forest, k0_class
+from foresthall.verify import _forest_counts, run_suite
 
 AB = ColorTable(("a", "b"))
 
+# OEIS A000081, a(1) to a(14): entry n counts the rooted trees on n + 1
+# vertices, each a root over one of the single-color forests on n vertices
+ROOTED_TREES = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766, 12486, 32973]
+
 
 def test_pinned_single_color_counts():
-    # frozen row, re-derived by brute force before this module was written
-    assert [count_forests_of_class((n,)) for n in range(1, 7)] == [
-        1,
-        2,
-        4,
-        9,
-        20,
-        48,
-    ]
-    assert [len(forests_of_class((n,))) for n in range(1, 7)] == [
-        1,
-        2,
-        4,
-        9,
-        20,
-        48,
-    ]
+    assert list(_forest_counts(1, 13).values()) == ROOTED_TREES
+    assert [len(forests_of_class((n,))) for n in range(7)] == ROOTED_TREES[:7]
 
 
 def test_empty_class():
     assert forests_of_class((0, 0)) == [Forest()]
-    assert count_forests_of_class((0, 0)) == 1
+    assert _forest_counts(2, 0) == {(0, 0): 1}
 
 
 def test_two_color_small_lists():
@@ -53,19 +43,9 @@ def test_two_color_small_lists():
 
 
 def test_generator_agrees_with_counter():
-    for total in range(7):
-        for i in range(total + 1):
-            alpha = (i, total - i)
-            assert len(forests_of_class(alpha)) == count_forests_of_class(
-                alpha
-            ), alpha
-    for total in range(5):
-        for i in range(total + 1):
-            for j in range(total - i + 1):
-                alpha = (i, j, total - i - j)
-                assert len(
-                    forests_of_class(alpha)
-                ) == count_forests_of_class(alpha), alpha
+    for names, bound in [("ab", 6), ("abc", 4)]:
+        report = run_suite("counts", ColorTable(names), bound)
+        assert report["failures"] == [], (names, bound)
 
 
 def test_generated_forests_have_the_right_class():
@@ -96,7 +76,7 @@ def test_trees_of_class():
     }
     # a tree is a root over a forest: tree count on n equals forest count on n-1
     for n in range(1, 7):
-        assert len(trees_of_class((n,))) == count_forests_of_class((n - 1,))
+        assert len(trees_of_class((n,))) == len(forests_of_class((n - 1,)))
 
 
 def test_color_permutation_symmetry():
@@ -119,11 +99,9 @@ def test_size_guard():
     with pytest.raises(SizeLimitError):
         forests_of_class(limit_class)
     with pytest.raises(SizeLimitError):
-        count_forests_of_class(limit_class)
-    with pytest.raises(SizeLimitError):
         trees_of_class((4,), limit=3)
     # explicit limit loosens as well as tightens
-    assert count_forests_of_class((4,), limit=4) == 9
+    assert len(forests_of_class((4,), limit=4)) == 9
     with pytest.raises(SizeLimitError):
         forests_of_class((2, 2), limit=3)
 
@@ -132,4 +110,4 @@ def test_class_validation():
     with pytest.raises(ValueError):
         forests_of_class((-1, 2))
     with pytest.raises(ValueError):
-        count_forests_of_class(())
+        forests_of_class(())
