@@ -505,6 +505,8 @@ def test_deterministic_output(capsys):
         ["nsym", "js", "--n", "2", "--weights", "a=0"],
         ["nsym", "js", "--n", "2", "--colors", "a,b", "--weights", "a=1"],
         ["qsym", "rhot", "--forest", "a", "--colors", "a", "--max-vertices", "0"],
+        ["qsym", "rhot", "--forest", "a[", "--colors", "a"],
+        ["cuts", "list", "b", "--colors", "a"],
         ["nsym", "js", "--n", "2", "--weights", "a=²"],
         ["nsym", "js", "--n", "3", "--weights", "a=1,a=2"],
     ],
