@@ -26,7 +26,7 @@ _MODULES = (cuts, enumeration, forest, hall, linear, nsym, qsym, verify)
 
 def clear_caches() -> None:
     """Empty every memo of the package's modules and the intern tables of
-    trees and forests, releasing what they hold.
+    trees, forests, and words and compositions, releasing what they hold.
 
     The memos and tables are unbounded, so a long session grows until this
     is called.  Results are unchanged afterwards; they are only recomputed,
@@ -34,6 +34,7 @@ def clear_caches() -> None:
     """
     forest._TREES.clear()
     forest._FORESTS.clear()
+    nsym._WORDS.clear()
     for module in _MODULES:
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):

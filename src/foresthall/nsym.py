@@ -9,6 +9,9 @@ of classes summing to gamma.
 rho is the algebra map sending the one-letter word on alpha to the
 characteristic function kappa_alpha of the Hall algebra; js collects the
 generators of a fixed total weight under a per-color weight assignment.
+
+Every word in a key of the coproduct memo is the one object of its value in
+the intern table ``_WORDS``, which the compositions of ``qsym`` share.
 """
 
 from __future__ import annotations
@@ -35,6 +38,10 @@ __all__ = [
 
 Word = tuple  # tuple of nonzero class vectors
 
+# The one object of each word or composition that a memo keeps as a key
+# (hash-consing); both are tuples of class vectors, so they share the table.
+_WORDS: dict = {}
+
 
 def word_degree(word: Word, ncolors: int) -> tuple[int, ...]:
     """Class of a word, or of a composition: the sum of its letters."""
@@ -57,6 +64,7 @@ def _letter_splits(gamma):
 
 @lru_cache(maxsize=None)
 def _word_comul(word: Word) -> LinComb:
+    intern = _WORDS.setdefault
     pairs = LinComb.basis(((), ()))
     for gamma in word:
         step = []
@@ -64,7 +72,7 @@ def _word_comul(word: Word) -> LinComb:
             for alpha, beta in _letter_splits(gamma):
                 nl = lw + (alpha,) if any(alpha) else lw
                 nr = rw + (beta,) if any(beta) else rw
-                step.append(((nl, nr), c))
+                step.append(((intern(nl, nl), intern(nr, nr)), c))
         pairs = LinComb(step)
     return pairs
 

@@ -13,6 +13,10 @@ of rho_t(P) with class(R) appended: one recursion over
 ``cuts.enumerate_cuts``, memoized per forest.  rho_t is the transpose of rho
 under the pairing, and a Hopf algebra map from the Connes-Kreimer side
 (``forest.direct_sum`` and ``cuts.enumerate_cuts``).
+
+Every composition that the rho_t and quasi-shuffle memos keep as a key is
+the one object of its value in ``nsym._WORDS``, the intern table that
+compositions share with words.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .forest import (
     k0_class,
 )
 from .linear import LinComb, bilinear
-from .nsym import word_degree
+from .nsym import _WORDS, word_degree
 
 __all__ = [
     "quasi_shuffle",
@@ -57,6 +61,7 @@ def _shuffle_pair(x: Composition, y: Composition) -> LinComb:
         return LinComb.basis(y)
     if not y:
         return LinComb.basis(x)
+    intern = _WORDS.setdefault
     terms: dict = {}
     for head, rest in (
         (x[0], _shuffle_pair(x[1:], y)),
@@ -65,6 +70,7 @@ def _shuffle_pair(x: Composition, y: Composition) -> LinComb:
     ):
         for comp, c in rest.terms.items():
             key = (head,) + comp
+            key = intern(key, key)
             terms[key] = terms.get(key, 0) + c
     return LinComb._merged(terms)
 
@@ -101,6 +107,7 @@ def pair(z: LinComb, x: LinComb) -> Fraction:
 def _rho_t(forest: Forest, ncolors: int) -> LinComb:
     if forest.size == 0:
         return LinComb.basis(())
+    intern = _WORDS.setdefault
     counts: dict = {}
     for _, pruned, root in enumerate_cuts(forest):
         if root.size == 0:
@@ -108,6 +115,7 @@ def _rho_t(forest: Forest, ncolors: int) -> LinComb:
         step = (k0_class(root, ncolors),)
         for head, n in _rho_t(pruned, ncolors).terms.items():
             flag = head + step
+            flag = intern(flag, flag)
             counts[flag] = counts.get(flag, 0) + n
     return LinComb._merged(counts)
 

@@ -1,26 +1,41 @@
 """Releasing the package's memos."""
 
+import contextlib
 import importlib
+import io
 import pkgutil
 
 import foresthall
 from foresthall import forest as forest_module
+from foresthall.cli import main
 from foresthall.forest import ColorTable, Forest, parse_forest
 from foresthall.linear import LinComb
 from foresthall.nsym import parse_word, rho
 
 
-def _memos_in_modules():
-    """Every memoized function defined at the top level of a module."""
-    found = set()
+def _module_values():
+    """``(module.name, value)`` for every top-level value of a module."""
     for info in pkgutil.iter_modules(foresthall.__path__):
         if info.name == "__main__":
             continue
         module = importlib.import_module(f"foresthall.{info.name}")
-        for value in vars(module).values():
-            if hasattr(value, "cache_clear"):
-                found.add(value)
-    return found
+        for name, value in vars(module).items():
+            yield f"{info.name}.{name}", value
+
+
+def _memos_in_modules():
+    """Every memoized function defined at the top level of a module."""
+    return {v for _, v in _module_values() if hasattr(v, "cache_clear")}
+
+
+def _containers():
+    """Every top-level dict, list or set of a module, by name (the
+    interpreter's own ``__builtins__`` and ``__all__`` aside)."""
+    return {
+        name: value
+        for name, value in _module_values()
+        if isinstance(value, (dict, list, set)) and ".__" not in name
+    }
 
 
 def test_clear_caches_empties_every_memo():
@@ -60,3 +75,20 @@ def test_clear_caches_empties_the_intern_tables():
     # the tables find the new objects from the old ones
     assert Forest(before.trees) is after
     assert after.aut == before.aut == 2
+
+
+def test_clear_caches_empties_every_container_that_grows():
+    foresthall.clear_caches()
+    containers = _containers()
+    sizes = {name: len(value) for name, value in containers.items()}
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["verify", "all", "--colors", "a,b", "--max-vertices", "4"])
+    assert code == 0
+    grown = {
+        name for name, value in containers.items() if len(value) > sizes[name]
+    }
+    assert {"forest._TREES", "forest._FORESTS", "nsym._WORDS"} <= grown
+    foresthall.clear_caches()
+    assert {name: len(containers[name]) for name in grown} == dict.fromkeys(
+        grown, 0
+    )

@@ -356,6 +356,7 @@ def test_readme_example(capsys, command, shown):
         (["qsym", "deconcat", "Z[(3),(4)]"], 7),
         (["qsym", "shuffle", "Z[(1),(1),(1)]", "Z[(1),(1),(1)]"], 6),
     ],
+    ids=["deconcat", "shuffle"],
 )
 def test_qsym_size_guard(capsys, argv, total):
     code, out, err = _run(

@@ -1,4 +1,5 @@
-"""Interned trees and forests, checked against a test-local oracle.
+"""Interned trees and forests, checked against a test-local oracle, and the
+shared words and compositions that the QSym and NSym memos keep as keys.
 
 The oracle reads the canonical text of each forest with its own parser
 into nested ``(color, children)`` tuples and never builds a ``Tree`` or
@@ -14,9 +15,14 @@ import pickle
 
 import pytest
 
+import foresthall
 from foresthall import forest as forest_module
+from foresthall import nsym
 from foresthall.enumeration import forests_of_class
 from foresthall.forest import ColorTable, Tree, format_forest, parse_forest
+from foresthall.linear import LinComb
+from foresthall.nsym import nsym_comul
+from foresthall.qsym import quasi_shuffle, rho_t
 
 A = ColorTable(("a",))
 AB = ColorTable(("a", "b"))
@@ -180,3 +186,54 @@ def test_copies_and_pickles_are_the_interned_object():
     assert copy.deepcopy(f) is f
     assert pickle.loads(pickle.dumps(f)) is f
     assert pickle.loads(pickle.dumps(f.trees[0])) is f.trees[0]
+
+
+def _images():
+    return [rho_t(f, len(table.names)) for f, table in _universe()]
+
+
+def _assert_shared(keys):
+    """Every key is the table's object of its value; returns how many."""
+    count = 0
+    for key in keys:
+        assert nsym._WORDS.get(key) is key, key
+        count += 1
+    return count
+
+
+def test_rho_t_keys_are_shared():
+    keys = [key for image in _images() for key in image.terms if key]
+    assert _assert_shared(keys) == 26_948
+    assert len({id(key) for key in keys}) == 522
+
+
+def _compositions():
+    # the two-color compositions of total at most 3
+    comps = {()}
+    for f, table in _universe():
+        if table is AB and f.size <= 3:
+            comps.update(rho_t(f, 2).terms)
+    return sorted(comps)
+
+
+def test_quasi_shuffle_and_comul_keys_are_shared():
+    comps = _compositions()
+    assert len(comps) == 1 + 2 + 7 + 24
+    nonempty = [LinComb.basis(c) for c in comps if c]
+    shuffled = 0
+    for x in nonempty:
+        for y in nonempty:
+            shuffled += _assert_shared(quasi_shuffle(x, y).terms)
+    halves = 0
+    for w in comps:
+        for left, right in nsym_comul(LinComb.basis(w)).terms:
+            halves += _assert_shared(half for half in (left, right) if half)
+    assert shuffled and halves
+
+
+def test_clear_caches_empties_the_word_table():
+    before = _images()
+    assert nsym._WORDS
+    foresthall.clear_caches()
+    assert nsym._WORDS == {}
+    assert _images() == before
