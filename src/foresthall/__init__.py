@@ -34,7 +34,7 @@ def clear_caches() -> None:
     """
     forest._TREES.clear()
     forest._FORESTS.clear()
-    nsym._WORDS.clear()
+    forest._WORDS.clear()
     for module in _MODULES:
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):

@@ -40,7 +40,6 @@ from .hall import antipode, delta, hall_comul, hall_mul, kappa
 from .linear import LinComb
 from .nsym import format_word, js, parse_word, rho, rho_js, word_degree
 from .qsym import (
-    composition_degree,
     deconcat,
     format_composition,
     parse_composition,
@@ -166,14 +165,18 @@ def _forest_keys(colors: ColorTable):
     return lambda f: format_forest(f, colors), lambda f: k0_class(f, nc)
 
 
-def _word_keys(colors: ColorTable):
-    nc = len(colors)
-    return format_word, lambda w: word_degree(w, nc)
+def _sequence_keys(fmt):
+    """Renderer of words or compositions, whose text ``fmt`` writes."""
+
+    def render(colors: ColorTable):
+        nc = len(colors)
+        return fmt, lambda seq: word_degree(seq, nc)
+
+    return render
 
 
-def _composition_keys(colors: ColorTable):
-    nc = len(colors)
-    return format_composition, lambda comp: composition_degree(comp, nc)
+_word_keys = _sequence_keys(format_word)
+_composition_keys = _sequence_keys(format_composition)
 
 
 def _pairs_of(keys):

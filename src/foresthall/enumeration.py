@@ -9,10 +9,9 @@ class by class.
 
 from __future__ import annotations
 
-import itertools
 from functools import cache
 
-from .forest import Forest, Tree, format_class
+from .forest import Forest, Tree, _class_splits, format_class
 
 __all__ = [
     "DEFAULT_SIZE_LIMIT",
@@ -54,13 +53,6 @@ def _decrement(alpha: tuple[int, ...], s: int) -> tuple[int, ...]:
     return alpha[:s] + (alpha[s] - 1,) + alpha[s + 1 :]
 
 
-def _subclasses(alpha: tuple[int, ...]):
-    """Nonzero beta <= alpha componentwise, in a fixed order."""
-    for beta in itertools.product(*(range(a + 1) for a in alpha)):
-        if any(beta):
-            yield beta
-
-
 @cache
 def _trees(alpha: tuple[int, ...]) -> tuple[Tree, ...]:
     """All trees of class alpha: a root of some color over a smaller forest."""
@@ -83,9 +75,8 @@ def _forests_bounded(alpha: tuple[int, ...], bound) -> tuple[Forest, ...]:
     if not any(alpha):
         return (Forest(),)
     out = []
-    for beta in _subclasses(alpha):
-        rest_class = tuple(a - b for a, b in zip(alpha, beta))
-        for tree in _trees(beta):
+    for beta, rest_class in _class_splits(alpha):
+        for tree in _trees(beta):  # none when beta is zero
             if bound is not None and tree.key > bound:
                 continue
             for rest in _forests_bounded(rest_class, tree.key):

@@ -13,6 +13,12 @@ those built after.
 
 Each object also carries its automorphism count ``aut``, computed once
 when the class is first met.
+
+Class vectors (per-color vertex counts, the grading K0+ = N^S) live here
+too: ``k0_class`` of a forest, their sum, text forms, every split of a
+class into two, and ``word_degree``, the class of a word or composition.
+Words and compositions are both tuples of class vectors; every one that a
+memo keeps as a key is the one object of its value in ``_WORDS``.
 """
 
 from __future__ import annotations
@@ -90,6 +96,7 @@ class ColorTable:
 # empties them.
 _TREES: dict = {}
 _FORESTS: dict = {}
+_WORDS: dict = {}  # words and compositions, key and value the same tuple
 _KEY = operator.attrgetter("key")
 
 
@@ -103,7 +110,29 @@ def _aut(parts) -> int:
     return count
 
 
-class Tree:
+class _Interned:
+    """Identity shared by trees and forests: equal when the same object, or
+    when built before the tables were emptied and of the same key."""
+
+    # Empty: a slot declared here is slower to read than one declared on
+    # the class that uses it.
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        return self is other or (
+            type(other) is type(self)
+            and self._hash == other._hash
+            and self.key == other.key
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __lt__(self, other) -> bool:
+        return self.key < other.key
+
+
+class Tree(_Interned):
     """One colored rooted tree, children canonically sorted at construction.
 
     ``Tree(color, children)`` returns the one object of its isomorphism
@@ -134,20 +163,6 @@ class Tree:
     def __reduce__(self):
         return Tree, (self.color, self.children)
 
-    def __eq__(self, other) -> bool:
-        # Trees built before the tables were emptied are other objects.
-        return self is other or (
-            isinstance(other, Tree)
-            and self._hash == other._hash
-            and self.key == other.key
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __lt__(self, other: "Tree") -> bool:
-        return self.key < other.key
-
     def _plain(self) -> str:
         if not self.children:
             return str(self.color)
@@ -157,7 +172,7 @@ class Tree:
         return f"Tree({self._plain()})"
 
 
-class Forest:
+class Forest(_Interned):
     """A multiset of trees, stored sorted; ``Forest()`` is the empty forest.
 
     Interned like :class:`Tree`; ``aut`` is the order of the automorphism
@@ -181,19 +196,6 @@ class Forest:
 
     def __reduce__(self):
         return Forest, (self.trees,)
-
-    def __eq__(self, other) -> bool:
-        return self is other or (
-            isinstance(other, Forest)
-            and self._hash == other._hash
-            and self.key == other.key
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __lt__(self, other: "Forest") -> bool:
-        return self.key < other.key
 
     def __bool__(self) -> bool:
         return bool(self.trees)
@@ -231,6 +233,21 @@ def k0_class(forest: Forest, ncolors: int) -> tuple[int, ...]:
 
 def add_classes(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(x + y for x, y in zip(a, b, strict=True))
+
+
+def _class_splits(gamma):
+    """Every ``(alpha, gamma - alpha)`` with 0 <= alpha <= gamma
+    componentwise, alpha in ``itertools.product`` order (zero first)."""
+    for alpha in itertools.product(*(range(g + 1) for g in gamma)):
+        yield alpha, tuple(g - a for g, a in zip(gamma, alpha))
+
+
+def word_degree(word, ncolors: int) -> tuple[int, ...]:
+    """Class of a word, or of a composition: the sum of its letters."""
+    deg = (0,) * ncolors
+    for letter in word:
+        deg = add_classes(deg, letter)
+    return deg
 
 
 def format_class(alpha) -> str:

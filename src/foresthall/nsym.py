@@ -10,8 +10,9 @@ rho is the algebra map sending the one-letter word on alpha to the
 characteristic function kappa_alpha of the Hall algebra; js collects the
 generators of a fixed total weight under a per-color weight assignment.
 
-Every word in a key of the coproduct memo is the one object of its value in
-the intern table ``_WORDS``, which the compositions of ``qsym`` share.
+The word coproduct is not memoized (its words are seldom met twice), but
+every word in one of its keys is the one object of its value in
+``forest._WORDS``, the intern table that the compositions of ``qsym`` share.
 """
 
 from __future__ import annotations
@@ -21,7 +22,14 @@ import math
 from functools import lru_cache
 
 from .enumeration import SizeLimitError, check_size
-from .forest import Forest, _class_at, add_classes, format_class
+from .forest import (
+    _WORDS,
+    Forest,
+    _class_at,
+    _class_splits,
+    format_class,
+    word_degree,
+)
 from .hall import hall_mul, kappa
 from .linear import LinComb, bilinear, extend
 
@@ -38,38 +46,19 @@ __all__ = [
 
 Word = tuple  # tuple of nonzero class vectors
 
-# The one object of each word or composition that a memo keeps as a key
-# (hash-consing); both are tuples of class vectors, so they share the table.
-_WORDS: dict = {}
-
-
-def word_degree(word: Word, ncolors: int) -> tuple[int, ...]:
-    """Class of a word, or of a composition: the sum of its letters."""
-    deg = (0,) * ncolors
-    for letter in word:
-        deg = add_classes(deg, letter)
-    return deg
-
 
 def nsym_mul(f: LinComb, g: LinComb) -> LinComb:
     """Concatenation product, extended bilinearly."""
     return bilinear(f, g, lambda u, v: LinComb.basis(u + v))
 
 
-def _letter_splits(gamma):
-    for alpha in itertools.product(*(range(g + 1) for g in gamma)):
-        beta = tuple(g - a for g, a in zip(gamma, alpha))
-        yield alpha, beta
-
-
-@lru_cache(maxsize=None)
 def _word_comul(word: Word) -> LinComb:
     intern = _WORDS.setdefault
     pairs = LinComb.basis(((), ()))
     for gamma in word:
         step = []
         for (lw, rw), c in pairs.terms.items():
-            for alpha, beta in _letter_splits(gamma):
+            for alpha, beta in _class_splits(gamma):
                 nl = lw + (alpha,) if any(alpha) else lw
                 nr = rw + (beta,) if any(beta) else rw
                 step.append(((intern(nl, nl), intern(nr, nr)), c))

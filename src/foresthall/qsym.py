@@ -15,8 +15,9 @@ under the pairing, and a Hopf algebra map from the Connes-Kreimer side
 (``forest.direct_sum`` and ``cuts.enumerate_cuts``).
 
 Every composition that the rho_t and quasi-shuffle memos keep as a key is
-the one object of its value in ``nsym._WORDS``, the intern table that
-compositions share with words.
+the one object of its value in ``forest._WORDS``, the intern table that
+compositions share with words; ``composition_degree`` is
+``forest.word_degree`` itself.
 """
 
 from __future__ import annotations
@@ -27,15 +28,16 @@ from functools import lru_cache
 from .cuts import enumerate_cuts
 from .enumeration import check_size
 from .forest import (
+    _WORDS,
     Forest,
     ParseError,
     _class_at,
     add_classes,
     format_class,
     k0_class,
+    word_degree as composition_degree,
 )
 from .linear import LinComb, bilinear
-from .nsym import _WORDS, word_degree
 
 __all__ = [
     "quasi_shuffle",
@@ -48,9 +50,6 @@ __all__ = [
 ]
 
 Composition = tuple  # tuple of nonzero class vectors
-
-
-composition_degree = word_degree
 
 
 @lru_cache(maxsize=None)

@@ -27,7 +27,14 @@ import math
 from functools import lru_cache
 
 from . import cuts, enumeration, hall, nsym, qsym
-from .forest import ColorTable, Forest, direct_sum, format_class, format_forest
+from .forest import (
+    ColorTable,
+    Forest,
+    _class_splits,
+    direct_sum,
+    format_class,
+    format_forest,
+)
 from .linear import LinComb, extend, tensor, tensor_mul
 
 __all__ = ["SUITE_NAMES", "run_suite", "run_all"]
@@ -59,11 +66,9 @@ def _words_of_degree(gamma: tuple[int, ...]) -> tuple:
     if not any(gamma):
         return ((),)
     out = []
-    for head in itertools.product(*(range(g + 1) for g in gamma)):
-        if not any(head):
-            continue
-        rest = tuple(g - h for g, h in zip(gamma, head))
-        out.extend((head,) + tail for tail in _words_of_degree(rest))
+    for head, rest in _class_splits(gamma):
+        if any(head):
+            out.extend((head,) + tail for tail in _words_of_degree(rest))
     return tuple(out)
 
 
@@ -120,18 +125,9 @@ def _fmt_forest(colors):
     return lambda f: format_forest(f, colors)
 
 
-def _fmt_forest_tensor(colors):
-    return lambda t: " (x) ".join(format_forest(f, colors) for f in t)
-
-
-def _fmt_word_pair(p):
-    return f"{nsym.format_word(p[0])} (x) {nsym.format_word(p[1])}"
-
-
-def _fmt_comp_pair(p):
-    return (
-        f"{qsym.format_composition(p[0])} (x) {qsym.format_composition(p[1])}"
-    )
+def _fmt_tensor(fmt):
+    """Format a tensor of keys, each written by ``fmt``."""
+    return lambda t: " (x) ".join(map(fmt, t))
 
 
 @_suite("theorem1")
@@ -142,8 +138,7 @@ def _suite_theorem1(colors, bound, weights):
     for gamma in _classes_upto(nc, bound):
         lhs = hall.hall_comul(hall.kappa(gamma, limit=bound))
         terms = []
-        for alpha in itertools.product(*(range(g + 1) for g in gamma)):
-            beta = tuple(g - a for g, a in zip(gamma, alpha))
+        for alpha, beta in _class_splits(gamma):
             for fa in enumeration.forests_of_class(alpha, limit=bound):
                 for fb in enumeration.forests_of_class(beta, limit=bound):
                     terms.append(((fa, fb), 1))
@@ -151,7 +146,7 @@ def _suite_theorem1(colors, bound, weights):
             lambda: f"gamma={format_class(gamma)}",
             lhs,
             LinComb(terms),
-            _fmt_forest_tensor(colors),
+            _fmt_tensor(_fmt_forest(colors)),
         )
 
 
@@ -198,7 +193,7 @@ def _suite_js_split(colors, bound, weights):
                 LinComb((i, 1) for i in range(n + 1)),
                 lambda i: tensor(js(i), js(n - i)),
             ),
-            _fmt_word_pair,
+            _fmt_tensor(nsym.format_word),
         )
 
 
@@ -280,7 +275,7 @@ def _suite_hopf_axioms(colors, bound, weights):
     nc = len(colors)
     universe = _forests_upto(nc, bound)
     fmt = _fmt_forest(colors)
-    fmt_tensor = _fmt_forest_tensor(colors)
+    fmt_tensor = _fmt_tensor(fmt)
     delta, counit, hall_mul = hall.delta, hall.counit, hall.hall_mul
     empty = LinComb.basis(Forest())
     comul = {f: hall.hall_comul(delta(f)) for f in universe}
@@ -414,7 +409,7 @@ def _suite_dual_pair(colors, bound, weights):
                 lambda: f"comul-adjoint a={fmt(a)}",
                 qsym.deconcat(LinComb.basis(a)),
                 LinComb(rhs_terms),
-                _fmt_comp_pair,
+                _fmt_tensor(fmt),
             )
 
 
@@ -445,7 +440,7 @@ def _suite_rhot_hom(colors, bound, weights):
             lambda: f"comul A={fmt(a)}",
             qsym.deconcat(image[a]),
             extend(cut_counts, lambda p: tensor(image[p[0]], image[p[1]])),
-            _fmt_comp_pair,
+            _fmt_tensor(qsym.format_composition),
         )
 
 

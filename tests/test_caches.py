@@ -87,7 +87,7 @@ def test_clear_caches_empties_every_container_that_grows():
     grown = {
         name for name, value in containers.items() if len(value) > sizes[name]
     }
-    assert {"forest._TREES", "forest._FORESTS", "nsym._WORDS"} <= grown
+    assert {"forest._TREES", "forest._FORESTS", "forest._WORDS"} <= grown
     foresthall.clear_caches()
     assert {name: len(containers[name]) for name in grown} == dict.fromkeys(
         grown, 0

@@ -494,24 +494,31 @@ def test_deterministic_output(capsys):
     assert third == fourth
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["forest", "normalize", "a[", "--colors", "a"],
-        ["forest", "normalize", "c", "--colors", "a,b"],
-        ["forest", "normalize", "a"],  # missing --colors
-        ["enumerate", "--class", "(13)", "--colors", "a"],
-        ["enumerate", "--class", "(1,2)", "--colors", "a"],
-        ["hall", "mul", "a[a]", "a", "--colors", "a", "--max-vertices", "2"],
-        ["nsym", "js", "--n", "2", "--weights", "a=0"],
-        ["nsym", "js", "--n", "2", "--colors", "a,b", "--weights", "a=1"],
-        ["qsym", "rhot", "--forest", "a", "--colors", "a", "--max-vertices", "0"],
-        ["qsym", "rhot", "--forest", "a[", "--colors", "a"],
-        ["cuts", "list", "b", "--colors", "a"],
-        ["nsym", "js", "--n", "2", "--weights", "a=²"],
-        ["nsym", "js", "--n", "3", "--weights", "a=1,a=2"],
-    ],
-)
+# Each case names its own id, so removing a row renames no other.
+DOMAIN_ERRORS = {
+    # malformed forest; unknown color; missing --colors
+    "argv0": ["forest", "normalize", "a[", "--colors", "a"],
+    "argv1": ["forest", "normalize", "c", "--colors", "a,b"],
+    "argv2": ["forest", "normalize", "a"],
+    # a class over the size limit; a class of the wrong length
+    "argv3": ["enumerate", "--class", "(13)", "--colors", "a"],
+    "argv4": ["enumerate", "--class", "(1,2)", "--colors", "a"],
+    # a product over --max-vertices
+    "argv5": ["hall", "mul", "a[a]", "a", "--colors", "a", "--max-vertices", "2"],
+    # a zero weight; a color without a weight
+    "argv6": ["nsym", "js", "--n", "2", "--weights", "a=0"],
+    "argv7": ["nsym", "js", "--n", "2", "--colors", "a,b", "--weights", "a=1"],
+    # a forest over --max-vertices; a malformed forest; an unknown color
+    "argv8": ["qsym", "rhot", "--forest", "a", "--colors", "a", "--max-vertices", "0"],
+    "argv9": ["qsym", "rhot", "--forest", "a[", "--colors", "a"],
+    "argv10": ["cuts", "list", "b", "--colors", "a"],
+    # a weight that int() refuses; a repeated --weights color
+    "argv11": ["nsym", "js", "--n", "2", "--weights", "a=²"],
+    "argv12": ["nsym", "js", "--n", "3", "--weights", "a=1,a=2"],
+}
+
+
+@pytest.mark.parametrize("argv", DOMAIN_ERRORS.values(), ids=DOMAIN_ERRORS)
 def test_domain_errors_exit_one(capsys, argv):
     code, out, err = _run(capsys, *argv)
     assert code == 1

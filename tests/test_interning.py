@@ -1,5 +1,6 @@
 """Interned trees and forests, checked against a test-local oracle, and the
-shared words and compositions that the QSym and NSym memos keep as keys.
+shared words and compositions that the QSym memos and the NSym coproduct
+keep as keys.
 
 The oracle reads the canonical text of each forest with its own parser
 into nested ``(color, children)`` tuples and never builds a ``Tree`` or
@@ -17,7 +18,6 @@ import pytest
 
 import foresthall
 from foresthall import forest as forest_module
-from foresthall import nsym
 from foresthall.enumeration import forests_of_class
 from foresthall.forest import ColorTable, Tree, format_forest, parse_forest
 from foresthall.linear import LinComb
@@ -196,7 +196,7 @@ def _assert_shared(keys):
     """Every key is the table's object of its value; returns how many."""
     count = 0
     for key in keys:
-        assert nsym._WORDS.get(key) is key, key
+        assert forest_module._WORDS.get(key) is key, key
         count += 1
     return count
 
@@ -233,7 +233,7 @@ def test_quasi_shuffle_and_comul_keys_are_shared():
 
 def test_clear_caches_empties_the_word_table():
     before = _images()
-    assert nsym._WORDS
+    assert forest_module._WORDS
     foresthall.clear_caches()
-    assert nsym._WORDS == {}
+    assert forest_module._WORDS == {}
     assert _images() == before
