@@ -25,15 +25,15 @@ _MODULES = (cuts, enumeration, forest, hall, linear, nsym, qsym, verify)
 
 
 def clear_caches() -> None:
-    """Empty every memo of the package's modules and the intern tables of
-    trees, forests, and words and compositions, releasing what they hold.
+    """Empty every memo of the package's modules and the intern table of
+    words and compositions, releasing what they hold.
 
-    The memos and tables are unbounded, so a long session grows until this
-    is called.  Results are unchanged afterwards; they are only recomputed,
-    and forests built before compare equal to those built after.
+    The memos and that table are unbounded, so a long session grows until
+    this is called.  Results are unchanged afterwards; they are only
+    recomputed.  The tables of trees and forests are weak: each tree or
+    forest leaves its table once nothing else holds it, and one still held
+    stays the object of its class.
     """
-    forest._TREES.clear()
-    forest._FORESTS.clear()
     forest._WORDS.clear()
     for module in _MODULES:
         for value in vars(module).values():

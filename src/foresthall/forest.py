@@ -5,11 +5,11 @@ the single object of its isomorphism class, found in an intern table keyed
 by the color and child objects of a tree, or by the sorted components of a
 forest.  So two colored rooted forests are isomorphic exactly when they are
 the same object, and everything downstream indexes its linear algebra by
-these canonical representatives.  ``key`` (color id first, then child
-lists, compared recursively) only fixes the total order in which children,
-components and output are sorted.  Objects built before the tables are
-emptied by ``foresthall.clear_caches()`` still compare and hash equal to
-those built after.
+these canonical representatives: equality and hashing are those of
+objects.  ``key`` (color id first, then child lists, compared recursively)
+only fixes the total order in which children, components and output are
+sorted.  The tables are weak, so an object stays interned exactly as long
+as something holds it.
 
 Each object also carries its automorphism count ``aut``, computed once
 when the class is first met.
@@ -27,6 +27,7 @@ import itertools
 import math
 import operator
 import re
+import weakref
 
 __all__ = [
     "ColorTable",
@@ -92,10 +93,12 @@ class ColorTable:
         return f"ColorTable({','.join(self.names)})"
 
 
-# The intern tables grow with a session; ``foresthall.clear_caches()``
-# empties them.
-_TREES: dict = {}
-_FORESTS: dict = {}
+# The tables of trees and forests are weak: an entry leaves once nothing
+# else holds its object.  Tuples cannot be weakly referenced, so the table
+# of words and compositions is a plain dict that
+# ``foresthall.clear_caches()`` empties.
+_TREES = weakref.WeakValueDictionary()
+_FORESTS = weakref.WeakValueDictionary()
 _WORDS: dict = {}  # words and compositions, key and value the same tuple
 _KEY = operator.attrgetter("key")
 
@@ -110,29 +113,7 @@ def _aut(parts) -> int:
     return count
 
 
-class _Interned:
-    """Identity shared by trees and forests: equal when the same object, or
-    when built before the tables were emptied and of the same key."""
-
-    # Empty: a slot declared here is slower to read than one declared on
-    # the class that uses it.
-    __slots__ = ()
-
-    def __eq__(self, other) -> bool:
-        return self is other or (
-            type(other) is type(self)
-            and self._hash == other._hash
-            and self.key == other.key
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __lt__(self, other) -> bool:
-        return self.key < other.key
-
-
-class Tree(_Interned):
+class Tree:
     """One colored rooted tree, children canonically sorted at construction.
 
     ``Tree(color, children)`` returns the one object of its isomorphism
@@ -141,7 +122,7 @@ class Tree(_Interned):
     ``aut`` is the order of the tree's automorphism group.
     """
 
-    __slots__ = ("color", "children", "key", "size", "aut", "_hash")
+    __slots__ = ("color", "children", "key", "size", "aut", "__weakref__")
 
     def __new__(cls, color: int, children=()):
         kids = tuple(sorted(children, key=_KEY))
@@ -156,7 +137,6 @@ class Tree(_Interned):
             tree.key = (color, tuple(t.key for t in kids))
             tree.size = 1 + sum(t.size for t in kids)
             tree.aut = _aut(kids)
-            tree._hash = hash(ident)
             _TREES[ident] = tree
         return tree
 
@@ -172,14 +152,14 @@ class Tree(_Interned):
         return f"Tree({self._plain()})"
 
 
-class Forest(_Interned):
+class Forest:
     """A multiset of trees, stored sorted; ``Forest()`` is the empty forest.
 
     Interned like :class:`Tree`; ``aut`` is the order of the automorphism
     group.
     """
 
-    __slots__ = ("trees", "key", "size", "aut", "_hash")
+    __slots__ = ("trees", "key", "size", "aut", "__weakref__")
 
     def __new__(cls, trees=()):
         ts = tuple(sorted(trees, key=_KEY))
@@ -190,7 +170,6 @@ class Forest(_Interned):
             forest.key = tuple(t.key for t in ts)
             forest.size = sum(t.size for t in ts)
             forest.aut = _aut(ts)
-            forest._hash = hash(ts)
             _FORESTS[ts] = forest
         return forest
 

@@ -153,7 +153,7 @@ BROKEN_MUL = (
 BROKEN_COMUL = (
     foresthall.hall,
     "_delta_comul",
-    _drop_last_term(FOREST_AB.__eq__),
+    _drop_last_term(lambda forest: forest is FOREST_AB),
 )
 
 # The faults injected per suite, as (module, attribute, fault) patches.  Each
