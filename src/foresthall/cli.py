@@ -6,6 +6,10 @@ generation, the four algebra structures, the homomorphisms between them
 compositions), and the executable verification suites.  Output is plain
 text by default or a stable JSON document with --json.
 
+Every leaf command takes the common flags.  ``main`` settles them once on
+the argparse namespace (``--colors`` becomes a ColorTable, ``--weights`` a
+tuple in color order), and each handler then reads that namespace alone.
+
 Exit codes: 0 success, 1 domain errors (malformed input, unknown colors,
 size guard) and a reader that closed stdout early, 2 usage errors and
 verification failures.
@@ -28,7 +32,6 @@ from .enumeration import (
 )
 from .forest import (
     ColorTable,
-    ParseError,
     add_classes,
     format_class,
     format_forest,
@@ -61,18 +64,8 @@ other notation:
 """
 
 
-class CliError(Exception):
+class CliError(ValueError):
     """Configuration problems the parser cannot catch (exit code 1)."""
-
-
-class _Session:
-    __slots__ = ("colors", "weights", "max_vertices", "json_out")
-
-    def __init__(self, colors, weights, max_vertices, json_out):
-        self.colors = colors
-        self.weights = weights
-        self.max_vertices = max_vertices
-        self.json_out = json_out
 
 
 def _parse_weight_list(text: str) -> list[tuple[str, int]]:
@@ -90,14 +83,17 @@ def _parse_weight_list(text: str) -> list[tuple[str, int]]:
     return pairs
 
 
-def _make_session(args) -> _Session:
+def _settle(args) -> None:
+    """Parse the common flags in place: ``args.colors`` becomes a
+    ColorTable (or None), ``args.weights`` a tuple in color order (or
+    None), and a negative ``--max-vertices`` is refused."""
     colors = None
-    if getattr(args, "colors", None):
+    if args.colors:
         colors = ColorTable(
             name.strip() for name in args.colors.split(",")
         )
     weights = None
-    if getattr(args, "weights", None):
+    if args.weights:
         pairs = _parse_weight_list(args.weights)
         by_name = dict(pairs)
         if len(by_name) != len(pairs):
@@ -110,97 +106,82 @@ def _make_session(args) -> _Session:
                 f"({','.join(colors.names)})"
             )
         weights = tuple(by_name[name] for name in colors.names)
-    max_vertices = getattr(args, "max_vertices", None)
-    if max_vertices is not None and max_vertices < 0:
+    if args.max_vertices is not None and args.max_vertices < 0:
         raise CliError("--max-vertices must be non-negative")
-    return _Session(
-        colors, weights, max_vertices, bool(getattr(args, "json", False))
-    )
+    args.colors, args.weights = colors, weights
 
 
-def _need_colors(session: _Session) -> ColorTable:
-    if session.colors is None:
+def _need_colors(args) -> ColorTable:
+    if args.colors is None:
         raise CliError("--colors (or --weights) is required for this command")
-    return session.colors
+    return args.colors
 
 
-def _session_weights(session: _Session) -> tuple[int, ...]:
-    colors = _need_colors(session)
-    if session.weights is not None:
-        return session.weights
-    return (1,) * len(colors)
+def _weights(args) -> tuple[int, ...]:
+    return args.weights or (1,) * len(_need_colors(args))
 
 
-def _forests(session: _Session, *texts) -> list:
+def _forests(args, *texts) -> list:
     """Parse forest arguments, refusing a total over the size limit."""
-    colors = _need_colors(session)
+    colors = _need_colors(args)
     forests = [parse_forest(text, colors) for text in texts]
     total = sum(forest.size for forest in forests)
-    check_size("input", total, session.max_vertices)
+    check_size("input", total, args.max_vertices)
     return forests
 
 
-def _compositions(session: _Session, *texts) -> list:
+def _compositions(args, *texts) -> list:
     """Parse composition arguments, refusing a total degree over the limit."""
-    nc = len(_need_colors(session))
+    nc = len(_need_colors(args))
     comps = [parse_composition(text, nc) for text in texts]
     total = sum(sum(part) for comp in comps for part in comp)
-    check_size("input", total, session.max_vertices)
+    check_size("input", total, args.max_vertices)
     return comps
 
 
-def _emit(session: _Session, payload: dict, lines: list[str]) -> None:
-    if session.json_out:
+def _emit(args, payload: dict, lines: list[str]) -> None:
+    if args.json:
         print(json.dumps(payload, ensure_ascii=False, indent=2))
     else:
         for line in lines:
             print(line)
 
 
-# --- element renderers: colors -> (text of a key, class of a key) ---------
+# --- key renderers: (key, colors) -> (text of the key, class of the key) ---
 
 
-def _forest_keys(colors: ColorTable):
-    nc = len(colors)
-    return lambda f: format_forest(f, colors), lambda f: k0_class(f, nc)
+def _forest_key(forest, colors: ColorTable):
+    return format_forest(forest, colors), k0_class(forest, len(colors))
 
 
-def _sequence_keys(fmt):
-    """Renderer of words or compositions, whose text ``fmt`` writes."""
-
-    def render(colors: ColorTable):
-        nc = len(colors)
-        return fmt, lambda seq: word_degree(seq, nc)
-
-    return render
+def _word_key(word, colors: ColorTable):
+    return format_word(word), word_degree(word, len(colors))
 
 
-_word_keys = _sequence_keys(format_word)
-_composition_keys = _sequence_keys(format_composition)
+def _composition_key(comp, colors: ColorTable):
+    return format_composition(comp), word_degree(comp, len(colors))
 
 
-def _pairs_of(keys):
-    def render(colors: ColorTable):
-        fmt, deg = keys(colors)
-        return (
-            lambda p: f"{fmt(p[0])}(x){fmt(p[1])}",
-            lambda p: add_classes(deg(p[0]), deg(p[1])),
-        )
+def _pairs_of(render):
+    """Renderer of tensor keys ``(left, right)``, each side by ``render``."""
 
-    return render
+    def render_pair(pair, colors: ColorTable):
+        (left, a), (right, b) = (render(key, colors) for key in pair)
+        return f"{left}(x){right}", add_classes(a, b)
+
+    return render_pair
 
 
-def _run_element(session, args) -> int:
+def _run_element(args) -> int:
     """Compute a row of _ELEMENT_COMMANDS and print the element it yields."""
-    colors = _need_colors(session)
-    elem = args.compute(session, args)
-    fmt_key, deg_key = args.render(colors)
-    rows = sorted((fmt_key(k), k) for k in elem.terms)
-    terms = {s: str(elem.terms[k]) for s, k in rows}
-    degrees = {deg_key(k) for k in elem.terms}
-    degree = list(degrees.pop()) if len(degrees) == 1 else None
-    lines = [f"{terms[s]} {s}" for s, _ in rows] if rows else ["0"]
-    _emit(session, {"terms": terms, "degree": degree}, lines)
+    colors = _need_colors(args)
+    elem = args.compute(args)
+    rows = sorted((args.render(k, colors), c) for k, c in elem.terms.items())
+    terms = {text: str(c) for (text, _), c in rows}
+    classes = {cls for (_, cls), _ in rows}
+    degree = list(classes.pop()) if len(classes) == 1 else None
+    lines = [f"{c} {text}" for text, c in terms.items()] or ["0"]
+    _emit(args, {"terms": terms, "degree": degree}, lines)
     return 0
 
 
@@ -220,56 +201,55 @@ _CLASS = _req("--class", "class vector (2,1)", dest="class_vec")
 _N = _req("--n", "total weight", type=int)
 
 # Every command whose result is one element of an algebra, one row each:
-# (group, name, help, arguments, compute(session, args), renderer).
+# (group, name, help, arguments, compute(args), key renderer).
 _ELEMENT_COMMANDS = (
     ("hall", "mul", "delta_A * delta_B",
      [_arg("left", "forest expression"), _arg("right", "forest expression")],
-     lambda s, a: hall_mul(*map(delta, _forests(s, a.left, a.right))),
-     _forest_keys),
+     lambda a: hall_mul(*map(delta, _forests(a, a.left, a.right))),
+     _forest_key),
     ("hall", "comul", "coproduct of delta_A", [_EXPR],
-     lambda s, a: hall_comul(delta(*_forests(s, a.expr))),
-     _pairs_of(_forest_keys)),
+     lambda a: hall_comul(delta(*_forests(a, a.expr))),
+     _pairs_of(_forest_key)),
     ("hall", "kappa", "class characteristic function", [_CLASS],
-     lambda s, a: kappa(parse_class(a.class_vec, len(s.colors)),
-                        s.max_vertices),
-     _forest_keys),
+     lambda a: kappa(parse_class(a.class_vec, len(a.colors)),
+                     a.max_vertices),
+     _forest_key),
     ("hall", "antipode", "antipode of delta_A", [_EXPR],
-     lambda s, a: antipode(delta(*_forests(s, a.expr)), s.max_vertices),
-     _forest_keys),
+     lambda a: antipode(delta(*_forests(a, a.expr)), a.max_vertices),
+     _forest_key),
     ("nsym", "rho", "image of a word in the Hall algebra",
      [_req("--word", "word such as (1,1)|(1,0); 1 = unit")],
-     lambda s, a: rho(LinComb.basis(parse_word(a.word, len(s.colors))),
-                      s.max_vertices),
-     _forest_keys),
+     lambda a: rho(LinComb.basis(parse_word(a.word, len(a.colors))),
+                   a.max_vertices),
+     _forest_key),
     ("nsym", "js", "weight-n generator sum", [_N],
-     lambda s, a: js(a.n, _session_weights(s), s.max_vertices),
-     _word_keys),
+     lambda a: js(a.n, _weights(a), a.max_vertices),
+     _word_key),
     ("nsym", "rhojs", "rho of the weight-n sum", [_N],
-     lambda s, a: rho_js(a.n, _session_weights(s), s.max_vertices),
-     _forest_keys),
+     lambda a: rho_js(a.n, _weights(a), a.max_vertices),
+     _forest_key),
     ("qsym", "shuffle", "quasi-shuffle product",
      [_arg("left", "composition such as Z[(1,0)]"),
       _arg("right", "composition such as Z[(0,1),(2,0)]")],
-     lambda s, a: quasi_shuffle(
-         *map(LinComb.basis, _compositions(s, a.left, a.right))),
-     _composition_keys),
+     lambda a: quasi_shuffle(
+         *map(LinComb.basis, _compositions(a, a.left, a.right))),
+     _composition_key),
     ("qsym", "deconcat", "deconcatenation coproduct",
      [_arg("expr", "composition such as Z[(1,0),(0,1)]")],
-     lambda s, a: deconcat(LinComb.basis(*_compositions(s, a.expr))),
-     _pairs_of(_composition_keys)),
+     lambda a: deconcat(LinComb.basis(*_compositions(a, a.expr))),
+     _pairs_of(_composition_key)),
     ("qsym", "rhot", "flag expansion of a forest",
      [_req("--forest", "forest expression")],
-     lambda s, a: rho_t(*_forests(s, a.forest), len(s.colors),
-                        s.max_vertices),
-     _composition_keys),
+     lambda a: rho_t(*_forests(a, a.forest), len(a.colors), a.max_vertices),
+     _composition_key),
 )
 
 
 # --- the other commands ----------------------------------------------------
 
 
-def _cmd_forest_normalize(session, args) -> int:
-    colors = _need_colors(session)
+def _cmd_forest_normalize(args) -> int:
+    colors = _need_colors(args)
     forest = parse_forest(args.expr, colors)
     text = format_forest(forest, colors)
     payload = {
@@ -277,16 +257,16 @@ def _cmd_forest_normalize(session, args) -> int:
         "class": list(k0_class(forest, len(colors))),
         "size": forest.size,
     }
-    _emit(session, payload, [text])
+    _emit(args, payload, [text])
     return 0
 
 
-def _cmd_forest_class(session, args) -> int:
-    colors = _need_colors(session)
+def _cmd_forest_class(args) -> int:
+    colors = _need_colors(args)
     forest = parse_forest(args.expr, colors)
     alpha = k0_class(forest, len(colors))
     _emit(
-        session,
+        args,
         {"class": list(alpha), "size": forest.size},
         [format_class(alpha)],
     )
@@ -303,9 +283,9 @@ def _fmt_cut(masks) -> list:
     ]
 
 
-def _cmd_cuts_list(session, args) -> int:
-    colors = _need_colors(session)
-    (forest,) = _forests(session, args.expr)
+def _cmd_cuts_list(args) -> int:
+    colors = _need_colors(args)
+    (forest,) = _forests(args, args.expr)
     rows = []
     for masks, pruned, root in enumerate_cuts(forest):
         rows.append(
@@ -329,17 +309,17 @@ def _cmd_cuts_list(session, args) -> int:
         for row in rows
     ]
     lines.append(f"count={len(rows)}")
-    _emit(session, payload, lines)
+    _emit(args, payload, lines)
     return 0
 
 
-def _cmd_enumerate(session, args) -> int:
-    colors = _need_colors(session)
+def _cmd_enumerate(args) -> int:
+    colors = _need_colors(args)
     alpha = parse_class(args.class_vec, len(colors))
-    forests = forests_of_class(alpha, limit=session.max_vertices)
+    forests = forests_of_class(alpha, limit=args.max_vertices)
     names = [format_forest(f, colors) for f in forests]
     payload = {"class": list(alpha), "forests": names, "count": len(names)}
-    _emit(session, payload, names + [f"count={len(names)}"])
+    _emit(args, payload, names + [f"count={len(names)}"])
     return 0
 
 
@@ -351,14 +331,14 @@ def _fmt_side(side) -> str:
     return str(side)
 
 
-def _cmd_verify(session, args) -> int:
-    colors = _need_colors(session)
-    bound = 3 if session.max_vertices is None else session.max_vertices
+def _cmd_verify(args) -> int:
+    colors = _need_colors(args)
+    bound = 3 if args.max_vertices is None else args.max_vertices
     if args.suite == "all":
-        reports = verify_mod.run_all(colors, bound, session.weights)
+        reports = verify_mod.run_all(colors, bound, args.weights)
     else:
         reports = [
-            verify_mod.run_suite(args.suite, colors, bound, session.weights)
+            verify_mod.run_suite(args.suite, colors, bound, args.weights)
         ]
     total_checked = sum(r["checked"] for r in reports)
     total_failures = sum(len(r["failures"]) for r in reports)
@@ -382,11 +362,11 @@ def _cmd_verify(session, args) -> int:
     )
     payload = {
         "bound": bound,
-        "weights": list(session.weights) if session.weights else None,
+        "weights": list(args.weights) if args.weights else None,
         "suites": reports,
         "pass": not total_failures,
     }
-    _emit(session, payload, lines)
+    _emit(args, payload, lines)
     return 0 if not total_failures else 2
 
 
@@ -472,8 +452,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        session = _make_session(args)
-        code = args.func(session, args)
+        _settle(args)
+        code = args.func(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:
@@ -486,7 +466,7 @@ def main(argv=None) -> int:
     except SizeLimitError as exc:
         print(f"error: {exc} (raise with --max-vertices)", file=sys.stderr)
         return 1
-    except (CliError, ParseError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RecursionError:

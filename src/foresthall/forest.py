@@ -221,6 +221,14 @@ def _class_splits(gamma):
         yield alpha, tuple(g - a for g, a in zip(gamma, alpha))
 
 
+def _classes_of_weight(n: int, weights):
+    """Every class alpha with sum(a_i * w_i) == n, in ``itertools.product``
+    order, which is ascending."""
+    for alpha in itertools.product(*(range(n // w + 1) for w in weights)):
+        if sum(a * w for a, w in zip(alpha, weights)) == n:
+            yield alpha
+
+
 def word_degree(word, ncolors: int) -> tuple[int, ...]:
     """Class of a word, or of a composition: the sum of its letters."""
     deg = (0,) * ncolors

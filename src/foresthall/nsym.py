@@ -17,7 +17,6 @@ every word in one of its keys is the one object of its value in
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import lru_cache
 
@@ -27,6 +26,7 @@ from .forest import (
     Forest,
     _class_at,
     _class_splits,
+    _classes_of_weight,
     format_class,
     word_degree,
 )
@@ -159,10 +159,9 @@ def js(n: int, weights, limit: int | None = None) -> LinComb:
             raise
         return LinComb()
     terms = {}  # each class is met once
-    for alpha in itertools.product(*(range(n // w + 1) for w in weights)):
-        if sum(a * w for a, w in zip(alpha, weights)) == n:
-            check_size(f"class {format_class(alpha)}", sum(alpha), limit)
-            terms[(alpha,) if any(alpha) else ()] = 1
+    for alpha in _classes_of_weight(n, weights):
+        check_size(f"class {format_class(alpha)}", sum(alpha), limit)
+        terms[(alpha,) if any(alpha) else ()] = 1
     return LinComb._merged(terms)
 
 

@@ -22,7 +22,6 @@ transform, while the enumeration generates them.
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import lru_cache
 
@@ -31,6 +30,7 @@ from .forest import (
     ColorTable,
     Forest,
     _class_splits,
+    _classes_of_weight,
     direct_sum,
     format_class,
     format_forest,
@@ -40,16 +40,10 @@ from .linear import LinComb, extend, tensor, tensor_mul
 __all__ = ["SUITE_NAMES", "run_suite", "run_all"]
 
 
-def _classes_of_total(ncolors: int, total: int):
-    for alpha in itertools.product(*(range(total + 1),) * ncolors):
-        if sum(alpha) == total:
-            yield alpha
-
-
 def _classes_upto(ncolors: int, bound: int) -> list[tuple[int, ...]]:
     out = []
     for total in range(bound + 1):
-        out.extend(sorted(_classes_of_total(ncolors, total)))
+        out.extend(_classes_of_weight(total, (1,) * ncolors))
     return out
 
 
@@ -373,7 +367,7 @@ def _suite_dual_pair(colors, bound, weights):
     comps_by_total = [
         [
             comp
-            for gamma in sorted(_classes_of_total(nc, total))
+            for gamma in _classes_of_weight(total, (1,) * nc)
             for comp in _words_of_degree(gamma)
         ]
         for total in range(bound + 1)

@@ -495,42 +495,104 @@ def test_deterministic_output(capsys):
 
 
 # Each case names its own id, so removing a row renames no other.
+# id -> (argv, the whole of stderr after "error: ")
 DOMAIN_ERRORS = {
-    # malformed forest; unknown color; missing --colors
-    "argv0": ["forest", "normalize", "a[", "--colors", "a"],
-    "argv1": ["forest", "normalize", "c", "--colors", "a,b"],
-    "argv2": ["forest", "normalize", "a"],
-    # a class over the size limit; a class of the wrong length
-    "argv3": ["enumerate", "--class", "(13)", "--colors", "a"],
-    "argv4": ["enumerate", "--class", "(1,2)", "--colors", "a"],
+    # a malformed forest
+    "argv0": (
+        ["forest", "normalize", "a[", "--colors", "a"],
+        "expected a color identifier, got end of input (at position 2)",
+    ),
+    # an unknown color
+    "argv1": (
+        ["forest", "normalize", "c", "--colors", "a,b"],
+        "unknown color 'c' (at position 0)",
+    ),
+    # no --colors
+    "argv2": (
+        ["forest", "normalize", "a"],
+        "--colors (or --weights) is required for this command",
+    ),
+    # a class over the size limit
+    "argv3": (
+        ["enumerate", "--class", "(13)", "--colors", "a"],
+        "class (13) has 13 vertices, over the limit of 12"
+        " (raise with --max-vertices)",
+    ),
+    # a class of the wrong length
+    "argv4": (
+        ["enumerate", "--class", "(1,2)", "--colors", "a"],
+        "class vector has 2 entries, expected 1 (at position 0)",
+    ),
     # a product over --max-vertices
-    "argv5": ["hall", "mul", "a[a]", "a", "--colors", "a", "--max-vertices", "2"],
-    # a zero weight; a color without a weight
-    "argv6": ["nsym", "js", "--n", "2", "--weights", "a=0"],
-    "argv7": ["nsym", "js", "--n", "2", "--colors", "a,b", "--weights", "a=1"],
-    # a forest over --max-vertices; a malformed forest; an unknown color
-    "argv8": ["qsym", "rhot", "--forest", "a", "--colors", "a", "--max-vertices", "0"],
-    "argv9": ["qsym", "rhot", "--forest", "a[", "--colors", "a"],
-    "argv10": ["cuts", "list", "b", "--colors", "a"],
-    # a weight that int() refuses; a repeated --weights color
-    "argv11": ["nsym", "js", "--n", "2", "--weights", "a=²"],
-    "argv12": ["nsym", "js", "--n", "3", "--weights", "a=1,a=2"],
+    "argv5": (
+        ["hall", "mul", "a[a]", "a", "--colors", "a", "--max-vertices", "2"],
+        "input has 3 vertices, over the limit of 2"
+        " (raise with --max-vertices)",
+    ),
+    # a zero weight
+    "argv6": (
+        ["nsym", "js", "--n", "2", "--weights", "a=0"],
+        "weight for 'a' must be positive",
+    ),
+    # a color without a weight
+    "argv7": (
+        ["nsym", "js", "--n", "2", "--colors", "a,b", "--weights", "a=1"],
+        "--weights must assign exactly the declared colors (a,b)",
+    ),
+    # a forest over --max-vertices
+    "argv8": (
+        ["qsym", "rhot", "--forest", "a", "--colors", "a",
+         "--max-vertices", "0"],
+        "input has 1 vertices, over the limit of 0"
+        " (raise with --max-vertices)",
+    ),
+    # a malformed forest on another route
+    "argv9": (
+        ["qsym", "rhot", "--forest", "a[", "--colors", "a"],
+        "expected a color identifier, got end of input (at position 2)",
+    ),
+    # an unknown color on another route
+    "argv10": (
+        ["cuts", "list", "b", "--colors", "a"],
+        "unknown color 'b' (at position 0)",
+    ),
+    # a weight that str.isdigit accepts and int() refuses
+    "argv11": (
+        ["nsym", "js", "--n", "2", "--weights", "a=²"],
+        "bad weight entry 'a=²'; expected name=positive-integer",
+    ),
+    # a repeated --weights color: the same message with or without --colors
+    "argv12": (
+        ["nsym", "js", "--n", "3", "--weights", "a=1,a=2"],
+        "duplicate color in --weights",
+    ),
+    "negative-max-vertices": (
+        ["forest", "normalize", "a", "--colors", "a", "--max-vertices", "-1"],
+        "--max-vertices must be non-negative",
+    ),
+    "weight-without-value": (
+        ["nsym", "js", "--n", "2", "--weights", "a"],
+        "bad weight entry 'a'; expected name=positive-integer",
+    ),
+    "color-not-identifier": (
+        ["forest", "normalize", "a", "--colors", "1a"],
+        "invalid color identifier: '1a'",
+    ),
+    "repeated-color": (
+        ["forest", "normalize", "a", "--colors", "a,a"],
+        "duplicate color names in ('a', 'a')",
+    ),
 }
 
 
-@pytest.mark.parametrize("argv", DOMAIN_ERRORS.values(), ids=DOMAIN_ERRORS)
-def test_domain_errors_exit_one(capsys, argv):
+@pytest.mark.parametrize(
+    "argv, message", DOMAIN_ERRORS.values(), ids=DOMAIN_ERRORS
+)
+def test_domain_errors_exit_one(capsys, argv, message):
     code, out, err = _run(capsys, *argv)
     assert code == 1
-    assert err.startswith("error:")
-    if argv[-1] == "a=²":
-        # str.isdigit accepts the superscript, which int() refuses
-        assert err == (
-            "error: bad weight entry 'a=²'; expected name=positive-integer\n"
-        )
-    if argv[-1] == "a=1,a=2":
-        # the same message with or without --colors
-        assert err == "error: duplicate color in --weights\n"
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_usage_errors_exit_two():
