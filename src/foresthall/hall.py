@@ -145,7 +145,8 @@ def _delta_mul(a: Forest, b: Forest) -> LinComb:
 
 
 def hall_mul(f: LinComb, g: LinComb) -> LinComb:
-    """Convolution product, extended bilinearly from the delta basis."""
+    """Convolution product, extended bilinearly from the delta basis; for
+    forests A and B, delta_A delta_B is the memoized product, not a copy."""
     return bilinear(f, g, _delta_mul)
 
 

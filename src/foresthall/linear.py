@@ -6,8 +6,9 @@ constants here are integers, and int arithmetic is far cheaper than
 building ``Fraction`` objects.
 
 A map is built from its values on basis keys: by ``bilinear`` or ``extend``
-where keys can repeat, each accumulating into one dict, and as one dict
-wrapped by ``LinComb._merged`` where its keys are distinct by construction.
+where keys can repeat, each accumulating into one dict but passing the image
+or product of unit basis elements through as itself (a memo), not a copy;
+and as one dict wrapped by ``LinComb._merged`` where keys are distinct.
 """
 
 from __future__ import annotations
@@ -66,7 +67,9 @@ class LinComb:
 
     @classmethod
     def basis(cls, key, coeff=1) -> "LinComb":
-        return cls._merged({key: coeff})
+        out, data = cls.__new__(cls), {key: coeff}
+        out.terms = data if type(coeff) is int and coeff else _normalize(data)
+        return out
 
     def coeff(self, key) -> Fraction:
         return Fraction(self.terms.get(key, 0))
@@ -102,6 +105,8 @@ class LinComb:
         # Keeps self's keys; _normalize drops the zeros of a zero scalar.
         if not isinstance(scalar, _SCALARS):
             return NotImplemented
+        if isinstance(scalar, Fraction) and scalar.denominator == 1:
+            scalar = scalar.numerator  # int coefficients stay int
         return LinComb._merged({k: c * scalar for k, c in self.terms.items()})
 
     __rmul__ = __mul__
@@ -114,7 +119,12 @@ class LinComb:
 
 
 def bilinear(f: LinComb, g: LinComb, basis_mul) -> LinComb:
-    """Extend a basis-level product bilinearly; ``basis_mul(a, b) -> LinComb``."""
+    """Extend a basis-level product bilinearly; ``basis_mul(a, b) -> LinComb``.
+    Two unit basis elements multiply to their product itself, not a copy."""
+    if len(f.terms) == len(g.terms) == 1:
+        ((a, ca),), ((b, cb),) = f.terms.items(), g.terms.items()
+        if ca == cb == 1:
+            return basis_mul(a, b)
     out: dict = {}
     for a, ca in f.terms.items():
         for b, cb in g.terms.items():
@@ -138,6 +148,18 @@ def extend(f: LinComb, image) -> LinComb:
     return LinComb._merged(out)
 
 
+def _tensor_sum(parts) -> LinComb:
+    """Sum ``c * f (x) g`` over the triples ``(c, f, g)`` into one dict."""
+    out: dict = {}
+    for scale, f, g in parts:
+        for a, ca in f.terms.items():
+            c = scale * ca
+            for b, cb in g.terms.items():
+                key = (a, b)
+                out[key] = out.get(key, 0) + c * cb
+    return LinComb._merged(out)
+
+
 def tensor(f: LinComb, g: LinComb) -> LinComb:
     """Simple tensor f (x) g as a combination keyed by (left, right) pairs."""
     right = g.terms.items()
@@ -149,9 +171,11 @@ def tensor(f: LinComb, g: LinComb) -> LinComb:
 def tensor_mul(t1: LinComb, t2: LinComb, left_mul, right_mul) -> LinComb:
     """Componentwise product of two pair-keyed combinations.
 
-    ``left_mul``/``right_mul`` are basis-level products returning LinComb.
+    ``left_mul``/``right_mul`` are basis-level products returning LinComb;
+    a unit product by ``bilinear`` is the memoized one itself, not a copy.
     """
-    def pair_mul(p, q):
-        return tensor(left_mul(p[0], q[0]), right_mul(p[1], q[1]))
-
-    return bilinear(t1, t2, pair_mul)
+    return _tensor_sum(
+        (cp * cq, left_mul(p0, q0), right_mul(p1, q1))
+        for (p0, p1), cp in t1.terms.items()
+        for (q0, q1), cq in t2.terms.items()
+    )

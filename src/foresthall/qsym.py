@@ -75,7 +75,8 @@ def _shuffle_pair(x: Composition, y: Composition) -> LinComb:
 
 
 def quasi_shuffle(f: LinComb, g: LinComb) -> LinComb:
-    """Quasi-shuffle product, extended bilinearly."""
+    """Quasi-shuffle product, extended bilinearly; two compositions with
+    coefficient 1 multiply to the memoized product itself, not a copy."""
     return bilinear(f, g, _shuffle_pair)
 
 

@@ -8,8 +8,9 @@ counterexample in full.  Instances are enumerated smallest first, so the
 first failure in a report is a minimal one.  Each side of an identity is
 built once per run (a forest's coproduct, antipode or rho_t image, a
 class's rho images, the adjoint of the word coproduct), a side that applies
-the library's own maps to a combination is built by ``extend``, and an
-instance is named only when its check fails.
+the library's own maps to a combination is built by ``extend`` (a sum of
+tensors by ``_tensor_sum``), and an instance is named only when its check
+fails.
 
 Two suites hold the oracle they check against, and share no code with the
 library route they check.  The hall-oracle suite recomputes every structure
@@ -35,7 +36,7 @@ from .forest import (
     format_class,
     format_forest,
 )
-from .linear import LinComb, extend, tensor, tensor_mul
+from .linear import LinComb, _tensor_sum, extend, tensor, tensor_mul
 
 __all__ = ["SUITE_NAMES", "run_suite", "run_all"]
 
@@ -430,10 +431,11 @@ def _suite_rhot_hom(colors, bound, weights):
     for a in universe:
         # one tensor per distinct (pruned, root), weighted by its cut count
         cut_counts = LinComb(((p, r), 1) for _, p, r in cuts.enumerate_cuts(a))
+        parts = ((n, image[p], image[r]) for (p, r), n in cut_counts.items())
         yield (
             lambda: f"comul A={fmt(a)}",
             qsym.deconcat(image[a]),
-            extend(cut_counts, lambda p: tensor(image[p[0]], image[p[1]])),
+            _tensor_sum(parts),
             _fmt_tensor(qsym.format_composition),
         )
 

@@ -215,6 +215,30 @@ def test_product_is_bilinear():
     assert direct == expanded
 
 
+def test_product_of_two_deltas_is_the_memoized_product():
+    a, b = _f("a"), _f("b")
+    assert hall_mul(delta(a), delta(b)) is _delta_mul(a, b)
+    # a coefficient of 2 merges a fresh combination
+    doubled = hall_mul(2 * delta(a), delta(b))
+    assert doubled is not _delta_mul(a, b)
+    assert _named(doubled) == {"a+b": 2, "b[a]": 2}
+    # so does a two-term side: a+b cancels between delta_a delta_b and
+    # delta_b delta_a
+    prod = hall_mul(delta(a) - delta(b), delta(b) + delta(a))
+    assert _named(prod) == {
+        "a+a": 2,
+        "a[a]": 1,
+        "b[a]": 1,
+        "a[b]": -1,
+        "b+b": -2,
+        "b[b]": -1,
+    }
+    # and the integral products of Fraction coefficients are stored as int
+    halves = hall_mul(Fraction(1, 2) * delta(a), 4 * delta(b))
+    assert _named(halves) == {"a+b": 2, "b[a]": 2}
+    assert all(type(c) is int for c in halves.terms.values())
+
+
 def test_product_grading():
     for a in _universe(2):
         for b in _universe(2):
@@ -264,6 +288,18 @@ def test_counit():
     assert counit(delta(_f("a"))) == 0
     assert counit(3 * delta(Forest()) - delta(_f("a+b"))) == 3
     assert isinstance(counit(delta(Forest())), Fraction)
+
+
+def test_counit_scalars_keep_int_coefficients():
+    x = delta(_f("a[b]")) + 3 * delta(_f("b"))
+    for scaled in (
+        counit(delta(Forest())) * x,
+        x * counit(delta(Forest())),
+        counit(2 * delta(Forest()) + delta(_f("a"))) * x,
+    ):
+        assert all(type(c) is int for c in scaled.terms.values())
+    assert counit(delta(Forest())) * x == x
+    assert not (counit(delta(_f("a"))) * x).terms
 
 
 def test_antipode_small_values():

@@ -2,6 +2,9 @@
 
 from fractions import Fraction
 
+from hypothesis import example, given
+from hypothesis import strategies as st
+
 from foresthall.linear import LinComb, bilinear, extend, tensor, tensor_mul
 
 
@@ -35,6 +38,32 @@ def test_integral_coefficients_are_stored_as_int():
     assert type(halves.terms["x"]) is int
     assert halves == x
     assert type(LinComb.basis("x", Fraction(1, 2)).terms["x"]) is Fraction
+
+
+def test_basis_stores_each_scalar_once():
+    zero = LinComb.basis("k", 0)
+    assert zero == LinComb() and not zero.terms
+    one = LinComb.basis("k", True).terms["k"]
+    assert one == 1 and type(one) is int
+    two = LinComb.basis("k", Fraction(4, 2)).terms["k"]
+    assert two == 2 and type(two) is int
+    half = LinComb.basis("k", 0.5).terms["k"]
+    assert half == Fraction(1, 2) and type(half) is Fraction
+    assert type(LinComb.basis("k", -3).terms["k"]) is int
+
+
+def test_integral_fraction_scalars_keep_int_coefficients():
+    x = LinComb([("x", 1), ("y", -2)])
+    for tripled in (Fraction(3, 1) * x, x * Fraction(3)):
+        assert tripled.terms == {"x": 3, "y": -6}
+        assert all(type(c) is int for c in tripled.terms.values())
+    halved = Fraction(1, 2) * x
+    assert halved.terms == {"x": Fraction(1, 2), "y": -1}
+    assert type(halved.terms["x"]) is Fraction
+    assert type(halved.terms["y"]) is int
+    doubled = Fraction(2) * LinComb.basis("z", Fraction(1, 2))
+    assert doubled.terms == {"z": 1} and type(doubled.terms["z"]) is int
+    assert not (Fraction(0) * x).terms
 
 
 def test_arithmetic():
@@ -78,6 +107,33 @@ def test_bilinear_and_tensor():
     half = tensor(LinComb.basis("x", Fraction(1, 2)), LinComb.basis("y", 4))
     assert half.terms == {("x", "y"): 2}
     assert type(half.terms[("x", "y")]) is int
+
+
+def test_bilinear_passes_a_unit_product_through():
+    memo = {
+        ("x", "y"): LinComb([("xy", 1), ("h", Fraction(1, 2))]),
+        ("z", "y"): LinComb([("xy", -1), ("h", Fraction(1, 2))]),
+    }
+
+    def mul(a, b):
+        return memo[a, b]
+
+    x, y = LinComb.basis("x"), LinComb.basis("y")
+    assert bilinear(x, y, mul) is memo["x", "y"]
+    # a coefficient of 2 merges a fresh combination: the half becomes int 1
+    for doubled in (
+        bilinear(LinComb.basis("x", 2), y, mul),
+        bilinear(x, LinComb.basis("y", 2), mul),
+    ):
+        assert doubled is not memo["x", "y"]
+        assert doubled.terms == {"xy": 2, "h": 1}
+        assert type(doubled.terms["h"]) is int
+    # so does a two-term side: "xy" cancels and the halves sum to int 1
+    summed = bilinear(LinComb([("x", 1), ("z", 1)]), y, mul)
+    assert summed.terms == {"h": 1}
+    assert type(summed.terms["h"]) is int
+    # the memo handed out is left as it was
+    assert memo["x", "y"].terms == {"xy": 1, "h": Fraction(1, 2)}
 
 
 def test_bilinear_merges_like_the_constructor():
@@ -129,3 +185,39 @@ def test_float_coefficients_are_exact_per_term():
     assert elem.terms == {"x": Fraction(0.1) + Fraction(0.2)}
     assert elem.coeff("x") != Fraction(0.1 + 0.2)
     assert type(LinComb([("x", 0.5), ("x", 0.5)]).terms["x"]) is int
+
+
+_letter = st.sampled_from("xyz")
+_coeff = st.one_of(
+    st.integers(-2, 2), st.fractions(-2, 2, max_denominator=3)
+)
+# repeated keys sum, and may cancel, in the constructor
+_pair_keyed = st.lists(
+    st.tuples(st.tuples(_letter, _letter), _coeff), max_size=5
+).map(LinComb)
+
+
+def _sort_mul(p, q):
+    # commutative, so several pairs of terms land on one key
+    return LinComb([("".join(sorted(p + q)), 1), (p, Fraction(-1, 2))])
+
+
+def _concat_mul(p, q):
+    return LinComb([(p + q, 2), (q, Fraction(1, 3))])
+
+
+@given(_pair_keyed, _pair_keyed)
+@example(  # the products cancel on ("xy", "xy")
+    LinComb([(("x", "x"), 1), (("y", "x"), -1)]),
+    LinComb([(("y", "y"), 1), (("x", "y"), 1)]),
+)
+def test_tensor_mul_matches_bilinear_over_tensors(t1, t2):
+    # the definition tensor_mul had before it accumulated into one dict
+    def pair_mul(p, q):
+        return tensor(_sort_mul(p[0], q[0]), _concat_mul(p[1], q[1]))
+
+    got = tensor_mul(t1, t2, _sort_mul, _concat_mul)
+    assert got == bilinear(t1, t2, pair_mul)
+    # no zeros, and every integral coefficient stored as int
+    assert all(type(c) is int or c.denominator > 1 for c in got.terms.values())
+    assert all(got.terms.values())

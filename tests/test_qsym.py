@@ -11,6 +11,7 @@ from foresthall.forest import ColorTable, Forest, ParseError, parse_forest
 from foresthall.linear import LinComb
 from foresthall.nsym import rho
 from foresthall.qsym import (
+    _shuffle_pair,
     composition_degree,
     deconcat,
     format_composition,
@@ -84,6 +85,14 @@ def test_quasi_shuffle_is_degree_homogeneous(x, y):
     total = composition_degree(x + y, 2)
     for comp in quasi_shuffle(_z(*x), _z(*y)).terms:
         assert composition_degree(comp, 2) == total
+
+
+def test_quasi_shuffle_of_two_compositions_is_the_memoized_product():
+    x, y = ((1, 0),), ((0, 1), (1, 1))
+    assert quasi_shuffle(_z(*x), _z(*y)) is _shuffle_pair(x, y)
+    doubled = quasi_shuffle(2 * _z(*x), _z(*y))
+    assert doubled is not _shuffle_pair(x, y)
+    assert doubled == 2 * _shuffle_pair(x, y)
 
 
 def test_deconcat():
